@@ -36,8 +36,50 @@ let second_moments ?(driver_res = 0.0) (t : Rctree.t) =
   done;
   out
 
+(* Alpert's D2M from the first two moments; the one expression every
+   D2M in the code base goes through. *)
+let ln2 = log 2.0
+
+let d2m ~m1 ~m2 = if m2 <= 0.0 then m1 *. ln2 else ln2 *. m1 *. m1 /. sqrt m2
+
 let d2m_at ?driver_res t i =
   let m1 = delay_at ?driver_res t i in
   let m2 = (second_moments ?driver_res t).(i) in
-  if m2 <= 0.0 then m1 *. log 2.0
-  else log 2.0 *. m1 *. m1 /. sqrt m2
+  d2m ~m1 ~m2
+
+(* [delays] + [second_moments] at driver_res = 0, fused into caller
+   arrays: the same float operations in the same order (downstream caps
+   bottom-up, Elmore top-down, the C·T sums bottom-up, then m2
+   top-down), so every entry is bitwise what the allocating functions
+   return.  [m2] holds the weighted-downstream sums S2 until the last
+   pass overwrites them top-down: step i reads its own S2 and its
+   parent's final m2, and no child of i has been visited yet. *)
+let moments_into (t : Rctree.t) ~down ~m1 ~m2 =
+  let n = Rctree.n_nodes t in
+  if Array.length down < n || Array.length m1 < n || Array.length m2 < n then
+    invalid_arg "Elmore.moments_into: scratch shorter than the tree";
+  let nodes = t.nodes in
+  for i = 0 to n - 1 do
+    down.(i) <- nodes.(i).cap
+  done;
+  for i = n - 1 downto 1 do
+    let p = nodes.(i).parent in
+    down.(p) <- down.(p) +. down.(i)
+  done;
+  m1.(0) <- 0.0 *. down.(0);
+  m2.(0) <- nodes.(0).cap *. m1.(0);
+  for i = 1 to n - 1 do
+    let nd = nodes.(i) in
+    let e = m1.(nd.parent) +. (nd.res *. down.(i)) in
+    m1.(i) <- e;
+    m2.(i) <- nd.cap *. e
+  done;
+  for i = n - 1 downto 1 do
+    let p = nodes.(i).parent in
+    m2.(p) <- m2.(p) +. m2.(i)
+  done;
+  m2.(0) <- 0.0 *. m2.(0);
+  for i = 1 to n - 1 do
+    let nd = nodes.(i) in
+    m2.(i) <- m2.(nd.parent) +. (nd.res *. m2.(i))
+  done

@@ -91,6 +91,14 @@ let refill t ~res ~cap =
   if Array.length res <> n || Array.length cap <> n then
     invalid_arg "Rctree.refill: array length mismatch";
   if res.(0) <> 0.0 then invalid_arg "Rctree.refill: root resistance must be 0";
+  (* The value checks of [create]: a refilled tree must be one [create]
+     would have accepted (same comparisons, so NaN passes as it does
+     there). *)
+  for i = 0 to n - 1 do
+    if i > 0 && res.(i) <= 0.0 then
+      invalid_arg "Rctree.refill: segment resistance must be positive";
+    if cap.(i) < 0.0 then invalid_arg "Rctree.refill: negative capacitance"
+  done;
   for i = 0 to n - 1 do
     let nd = t.nodes.(i) in
     nd.res <- res.(i);

@@ -59,8 +59,9 @@ val refill : t -> res:float array -> cap:float array -> unit
     variation.  Only call on trees obtained from {!copy}: functional
     constructors such as {!add_cap} share node records between trees,
     and refilling a shared tree would corrupt its siblings.
-    @raise Invalid_argument on length mismatch or nonzero root
-    resistance. *)
+    @raise Invalid_argument on length mismatch, or on any value
+    {!create} rejects: nonzero root resistance, a non-positive segment
+    resistance or a negative capacitance. *)
 
 val bump_cap : t -> int -> float -> unit
 (** [bump_cap t i c] adds [c] at node [i] in place — {!add_cap} for

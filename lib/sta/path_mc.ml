@@ -141,6 +141,12 @@ type hop_plan = {
   hp_tree : Rctree.t;  (* private copy, refilled per sample *)
   hp_res : float array;  (* refill scratch, length n_nodes *)
   hp_cap : float array;
+  hp_down : float array;
+      (* [Elmore.moments_into] scratch, length n_nodes: the fast hop's
+         D2M and Elmore come from the same fused pass the SSTA wire
+         mini-MC runs, bitwise the [d2m_at]/[delay_at] of [fast_hop] *)
+  hp_m1 : float array;
+  hp_m2 : float array;
   hp_load_caps : (int * float) list;  (* sink pin caps, attach order *)
   hp_tap : int;  (* exit tap node *)
   hp_tap_pos : int;  (* index of hp_tap in the tree's taps array *)
@@ -174,6 +180,9 @@ let plan_of tech (design : Design.t) (path : Path.t) =
           hp_tree = Rctree.copy base;
           hp_res = Array.make n_nodes 0.0;
           hp_cap = Array.make n_nodes 0.0;
+          hp_down = Array.make n_nodes 0.0;
+          hp_m1 = Array.make n_nodes 0.0;
+          hp_m2 = Array.make n_nodes 0.0;
           hp_load_caps = Design.sink_caps tech design ~net:hop.Path.out_net;
           hp_tap = tap;
           hp_tap_pos = tap_pos;
@@ -223,8 +232,10 @@ let simulate_planned ?(steps = 200) ?(kernel = Cell_sim.Rk4) tech (p : plan)
               ~input_slew:!slew
               ~load_cap:(Rctree.total_cap hp.hp_tree)
           in
-          let wire = Elmore.d2m_at hp.hp_tree hp.hp_tap in
-          let elmore = Elmore.delay_at hp.hp_tree hp.hp_tap in
+          Elmore.moments_into hp.hp_tree ~down:hp.hp_down ~m1:hp.hp_m1
+            ~m2:hp.hp_m2;
+          let elmore = hp.hp_m1.(hp.hp_tap) in
+          let wire = Elmore.d2m ~m1:elmore ~m2:hp.hp_m2.(hp.hp_tap) in
           let wire_slew = peri_slew_factor *. elmore in
           let out_slew =
             sqrt ((r.Cell_sim.output_slew *. r.Cell_sim.output_slew)
@@ -305,9 +316,11 @@ let simulate_batch_range ~approx tech (p : plan) (b : Cell_sim.Batch.t) st
           Cell_sim.Batch.load b !k (Arc.skeleton_compiled hp.hp_sk)
             ~input_slew:st.bs_slews.(s)
             ~load_cap:(Rctree.total_cap hp.hp_tree);
-          st.bs_wire.(s) <- Elmore.d2m_at hp.hp_tree hp.hp_tap;
-          st.bs_wslew.(s) <-
-            peri_slew_factor *. Elmore.delay_at hp.hp_tree hp.hp_tap;
+          Elmore.moments_into hp.hp_tree ~down:hp.hp_down ~m1:hp.hp_m1
+            ~m2:hp.hp_m2;
+          let elmore = hp.hp_m1.(hp.hp_tap) in
+          st.bs_wire.(s) <- Elmore.d2m ~m1:elmore ~m2:hp.hp_m2.(hp.hp_tap);
+          st.bs_wslew.(s) <- peri_slew_factor *. elmore;
           st.bs_slot.(s) <- !k;
           incr k
         end

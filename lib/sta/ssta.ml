@@ -315,7 +315,9 @@ let edge_of = function Provider.Rise -> `Rise | Provider.Fall -> `Fall
 
 (* Same single-pole 20-80% constant as Path_mc's fast hop model: the
    statistical wire provider must mirror the model the MC reference
-   uses, so validation error isolates the propagation approximation. *)
+   uses, so validation error isolates the propagation approximation.
+   The D2M and Elmore values mirror it by construction: both loops
+   score a sample with the same [Elmore.moments_into] pass. *)
 let peri_slew_factor = Float.log 4.0 /. 0.6
 
 (* Per-(cell, edge) global response estimated at the reference point:
@@ -420,9 +422,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
   let frac_cache : (string * int, arc_response) Hashtbl.t = Hashtbl.create 32 in
   (* The store key pins everything the regression depends on: the
      library fingerprint covers technology, grid, kernel and sampling;
-     the remaining knobs are this provider's own.  [wire_samples], the
-     executor and [batch] do not enter — they don't change the result
-     (the batched kernel is bit-identical unless [approx]). *)
+     the remaining knobs are this provider's own.  [wire_samples] does
+     not enter: the store holds cell regressions only, never wire
+     results (the wire mini-MC always runs on the calling domain).  The
+     executor, which drives only the cell regressions, and [batch] do
+     not enter because they don't change the result (the batched kernel
+     is bit-identical unless [approx]). *)
   let lib_fp = lazy (Library.fingerprint lib) in
   let store_key (cell_name, edge_ix) =
     Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d|approx=%b" (Lazy.force lib_fp)
@@ -631,7 +636,14 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
      (local BEOL deviates only, exactly Wire_gen.vary) evaluated with
      the same D2M-at-tap metric as Path_mc's fast hop.  One pass fills
      every tap of the net; the mean Elmore constant per tap feeds the
-     PERI slew degradation. *)
+     PERI slew degradation.
+
+     The loop runs on the calling domain with per-net scratch: each
+     sample refills a private copy of the tree in place, attaches the
+     sink pins and runs one fused moment pass, so a sample does only
+     arithmetic plus its deviate draws.  A pool dispatch per net costs
+     more than the whole 96-sample loop, and the result is the same
+     bits on every executor either way. *)
   let wire_cache : (int, (int * dist * float) array) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -645,35 +657,26 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         let loads = Design.sink_caps tech design ~net in
         let taps = base.Rctree.taps in
         let rng = Rng.derive wire_rng ~index:net in
+        let n_nodes = Rctree.n_nodes base in
+        let tree = Rctree.copy base in
+        let scratch () = Array.make n_nodes 0.0 in
+        let res = scratch () and cap = scratch () in
+        let down = scratch () and m1 = scratch () and m2 = scratch () in
         let accs = Array.map (fun _ -> Moments.empty) taps in
         let elmore_sum = Array.map (fun _ -> 0.0) taps in
-        (* Per-sample tap rows from the executor, folded into the moment
-           accumulators in index order on this domain — bit-identical to
-           the sequential loop on every backend. *)
-        let rows =
-          Executor.map_array exec
-            (fun i ->
-              let v = Variation.draw tech (Rng.derive rng ~index:i) in
-              let varied = Wire_gen.vary tech v base in
-              let loaded =
-                List.fold_left
-                  (fun tr (node, c) -> Rctree.add_cap tr node c)
-                  varied loads
-              in
-              Array.map
-                (fun tap ->
-                  (Elmore.d2m_at loaded tap, Elmore.delay_at loaded tap))
-                taps)
-            ~n:wire_samples
-        in
-        Array.iter
-          (fun row ->
-            Array.iteri
-              (fun j (d2m, elm) ->
-                accs.(j) <- Moments.add accs.(j) d2m;
-                elmore_sum.(j) <- elmore_sum.(j) +. elm)
-              row)
-          rows;
+        let attach (node, c) = Rctree.bump_cap tree node c in
+        for i = 0 to wire_samples - 1 do
+          let v = Variation.draw tech (Rng.derive rng ~index:i) in
+          Wire_gen.vary_into tech v ~base ~into:tree ~res ~cap;
+          List.iter attach loads;
+          Elmore.moments_into tree ~down ~m1 ~m2;
+          for j = 0 to Array.length taps - 1 do
+            let tap = taps.(j) in
+            accs.(j) <-
+              Moments.add accs.(j) (Elmore.d2m ~m1:m1.(tap) ~m2:m2.(tap));
+            elmore_sum.(j) <- elmore_sum.(j) +. m1.(tap)
+          done
+        done;
         Metrics.incr m_wire_mc ~by:wire_samples;
         Array.mapi
           (fun j tap ->

@@ -174,13 +174,18 @@ val lvf_provider :
     metric and PERI slew model as {!Path_mc}'s fast hop, so validation
     error isolates the propagation approximation.
 
-    Both mini-MC loops run on [exec] (default
+    The cell mini-MC runs on [exec] (default
     {!Nsigma_exec.Executor.default}[ ()]): workers fill index-addressed
     per-sample arrays and the moment accumulators fold over them in
     index order on the calling domain, so populations are bit-identical
-    on every backend.  [batch] routes the paired cell mini-MC through
-    the SoA {!Nsigma_spice.Cell_sim.Batch} kernel (two batches per
-    chunk: full draws and their globals-only twins), still
+    on every backend.  The wire mini-MC always runs on the calling
+    domain: per net it refills one scratch copy of the tree in place
+    ({!Nsigma_rcnet.Wire_gen.vary_into}) and scores each sample with
+    one fused moment pass ({!Nsigma_rcnet.Elmore.moments_into}), which
+    is cheaper than a pool dispatch and gives the same bits.  [batch]
+    routes the paired cell mini-MC through the SoA
+    {!Nsigma_spice.Cell_sim.Batch} kernel (two batches per chunk: full
+    draws and their globals-only twins), still
     bit-identical; [approx] (implies [batch]) swaps in the polynomial
     transcendentals — the opt-in [--no-bit-identical] mode.
 

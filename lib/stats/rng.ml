@@ -1,52 +1,76 @@
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-  (* Cached second deviate of the polar method, if any. *)
-  mutable spare : float option;
-}
+(* The whole generator lives in one unboxed byte buffer: the four
+   xoshiro256++ state words at byte offsets 0/8/16/24, the cached second
+   deviate of the polar method at 32 and its presence flag at 40.  The
+   [%caml_bytes_get64]/[%caml_bytes_set64] primitives read and write the
+   words without boxing, so drawing allocates nothing (int64 record
+   fields or a [float option] spare would box on every step), and a
+   derived child is a single small block. *)
+type t = Bytes.t
 
-(* splitmix64: used to expand the user seed into four state words, and to
-   derive child seeds in [split].  Constants from Steele et al. (2014). *)
-let splitmix64 state =
-  let z = Int64.add !state 0x9E3779B97F4A7C15L in
-  state := z;
+let spare_off = 32
+let flag_off = 40
+let size = 41
+
+let[@inline] word g i = Bytes.get_int64_ne g (8 * i)
+let[@inline] set_word g i x = Bytes.set_int64_ne g (8 * i) x
+
+let[@inline] make s0 s1 s2 s3 =
+  let g = Bytes.make size '\000' in
+  set_word g 0 s0;
+  set_word g 1 s1;
+  set_word g 2 s2;
+  set_word g 3 s3;
+  g
+
+(* splitmix64 (Steele et al., 2014): used to expand the user seed into
+   four state words, and to derive child seeds in [split]/[derive].  One
+   step advances the state by the golden gamma and returns [mix] of the
+   advanced state; the callers thread the state explicitly so no step
+   allocates. *)
+let gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed =
-  let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3; spare = None }
+(* Four consecutive splitmix64 outputs from state [st]. *)
+let[@inline] expand st =
+  let a = Int64.add st gamma in
+  let b = Int64.add a gamma in
+  let c = Int64.add b gamma in
+  let d = Int64.add c gamma in
+  make (mix a) (mix b) (mix c) (mix d)
 
-let copy g = { g with spare = g.spare }
+let create ~seed = expand (Int64.of_int seed)
 
-let rotl x k =
+let copy g = Bytes.copy g
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
-  let result = Int64.add (rotl (Int64.add g.s0 g.s3) 23) g.s0 in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+(* One xoshiro256++ step.  Inlined into every draw below so the state
+   words stay unboxed end to end; only the public [bits64] boxes its
+   result. *)
+let[@inline] next g =
+  let s0 = word g 0 and s1 = word g 1 and s2 = word g 2 and s3 = word g 3 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 t in
+  let s3 = rotl s3 45 in
+  set_word g 0 s0;
+  set_word g 1 s1;
+  set_word g 2 s2;
+  set_word g 3 s3;
   result
 
-let split g =
-  let st = ref (bits64 g) in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3; spare = None }
+let bits64 g = next g
+
+let split g = expand (next g)
 
 let derive g ~index =
   if index < 0 then invalid_arg "Rng.derive: index must be non-negative";
@@ -54,21 +78,16 @@ let derive g ~index =
      stream so distinct parents and distinct indices both decorrelate.
      [g] is not advanced: the child depends only on (state, index), which
      is what makes index-addressed parallel sampling order-independent. *)
-  let st = ref (Int64.of_int index) in
-  let h = splitmix64 st in
-  st := Int64.logxor h g.s0;
-  let s0 = splitmix64 st in
-  st := Int64.logxor !st g.s1;
-  let s1 = splitmix64 st in
-  st := Int64.logxor !st g.s2;
-  let s2 = splitmix64 st in
-  st := Int64.logxor !st g.s3;
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3; spare = None }
+  let a = Int64.add (Int64.of_int index) gamma in
+  let b = Int64.add (Int64.logxor (mix a) (word g 0)) gamma in
+  let c = Int64.add (Int64.logxor b (word g 1)) gamma in
+  let d = Int64.add (Int64.logxor c (word g 2)) gamma in
+  let e = Int64.add (Int64.logxor d (word g 3)) gamma in
+  make (mix b) (mix c) (mix d) (mix e)
 
 (* 53-bit mantissa of the raw output, mapped to [0,1). *)
-let uniform g =
-  let x = Int64.shift_right_logical (bits64 g) 11 in
+let[@inline] uniform g =
+  let x = Int64.shift_right_logical (next g) 11 in
   Int64.to_float x *. 0x1.0p-53
 
 let float g b = uniform g *. b
@@ -88,23 +107,23 @@ let int g n =
   go ()
 
 let gaussian g =
-  match g.spare with
-  | Some v ->
-    g.spare <- None;
-    v
-  | None ->
-    let rec go () =
-      let u = (2.0 *. uniform g) -. 1.0 in
-      let v = (2.0 *. uniform g) -. 1.0 in
-      let s = (u *. u) +. (v *. v) in
-      if s >= 1.0 || s = 0.0 then go ()
-      else begin
-        let m = sqrt (-2.0 *. log s /. s) in
-        g.spare <- Some (v *. m);
-        u *. m
-      end
-    in
-    go ()
+  if Bytes.unsafe_get g flag_off <> '\000' then begin
+    Bytes.unsafe_set g flag_off '\000';
+    Int64.float_of_bits (Bytes.get_int64_ne g spare_off)
+  end
+  else begin
+    (* Polar rejection: u before v, redraw until 0 < s < 1. *)
+    let u = ref 0.0 and v = ref 0.0 and s = ref 1.0 in
+    while !s >= 1.0 || !s = 0.0 do
+      u := (2.0 *. uniform g) -. 1.0;
+      v := (2.0 *. uniform g) -. 1.0;
+      s := (!u *. !u) +. (!v *. !v)
+    done;
+    let m = sqrt (-2.0 *. log !s /. !s) in
+    Bytes.set_int64_ne g spare_off (Int64.bits_of_float (!v *. m));
+    Bytes.unsafe_set g flag_off '\001';
+    !u *. m
+  end
 
 let gaussian_mu_sigma g ~mu ~sigma = mu +. (sigma *. gaussian g)
 

@@ -8,7 +8,10 @@
     independent child streams for parallel or per-object sampling. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state, held unboxed (state words and the cached
+    polar deviate): drawing allocates nothing beyond the boxed value a
+    non-inlined call returns, and {!derive}/{!split}/{!copy} allocate
+    one small block. *)
 
 val create : seed:int -> t
 (** [create ~seed] builds a generator from a 64-bit integer seed.  Equal

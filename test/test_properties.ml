@@ -40,14 +40,18 @@ let tree_of_seed seed =
   in
   Wire_gen.random_tree tech spec g
 
+(* [random_logic] needs at least one gate per level, so the depth is
+   capped at the gate count (only 8 gates at depth 9 ever hit the cap).
+   The draws stay in the order the arguments used to be evaluated in
+   (depth, gates, inputs), so every other seed keeps its netlist. *)
 let netlist_of_seed seed =
   let g = Rng.create ~seed in
+  let depth = 2 + Rng.int g 8 in
+  let n_gates = 8 + Rng.int g 60 in
+  let n_inputs = 2 + Rng.int g 10 in
   G.random_logic
     ~name:(Printf.sprintf "p%d" seed)
-    ~n_inputs:(2 + Rng.int g 10)
-    ~n_gates:(8 + Rng.int g 60)
-    ~depth:(2 + Rng.int g 8)
-    ~seed
+    ~n_inputs ~n_gates ~depth:(min depth n_gates) ~seed
 
 let seed_arb = QCheck.int_bound 100_000
 

@@ -119,6 +119,113 @@ let test_d2m_below_elmore () =
   let d2m = Elmore.d2m_at t 2 and elm = Elmore.delay_at t 2 in
   Alcotest.(check bool) "0 < D2M <= Elmore" true (d2m > 0.0 && d2m <= elm)
 
+(* Trees of every shape the wire loops see, loaded and varied: the
+   hand-built cases, ladders, random routes and fanout nets. *)
+let fused_cases () =
+  let g = Rng.create ~seed:95 in
+  let random = List.init 12 (fun _ -> Wire_gen.random_tree tech Wire_gen.default_spec g) in
+  let fanout = List.map (fun f -> Wire_gen.for_fanout tech ~fanout:f g) [ 1; 2; 5; 12 ] in
+  let varied =
+    List.map
+      (fun t ->
+        let t = Wire_gen.vary tech (Variation.draw tech g) t in
+        Array.fold_left (fun t tap -> Rctree.add_cap t tap 0.7e-15) t t.Rctree.taps)
+      (random @ fanout)
+  in
+  [ simple_chain (); branched ();
+    Rctree.ladder ~segments:9 ~res_per_seg:40.0 ~cap_per_seg:0.3e-15 ]
+  @ random @ fanout @ varied
+
+let bits = Array.map Int64.bits_of_float
+
+let test_fused_moments_bitwise () =
+  (* One oversized scratch for every tree: only the first n entries are
+     written. *)
+  let down = Array.make 64 0.0 and m1 = Array.make 64 0.0 and m2 = Array.make 64 0.0 in
+  List.iteri
+    (fun k t ->
+      let n = Rctree.n_nodes t in
+      Elmore.moments_into t ~down ~m1 ~m2;
+      let what name = Printf.sprintf "case %d: %s" k name in
+      Alcotest.(check (array int64)) (what "downstream cap")
+        (bits (Rctree.downstream_cap t)) (bits (Array.sub down 0 n));
+      Alcotest.(check (array int64)) (what "elmore")
+        (bits (Elmore.delays t)) (bits (Array.sub m1 0 n));
+      Alcotest.(check (array int64)) (what "second moment")
+        (bits (Elmore.second_moments t)) (bits (Array.sub m2 0 n));
+      for i = 0 to n - 1 do
+        Alcotest.(check int64) (what "d2m")
+          (Int64.bits_of_float (Elmore.d2m_at t i))
+          (Int64.bits_of_float (Elmore.d2m ~m1:m1.(i) ~m2:m2.(i)))
+      done)
+    (fused_cases ());
+  Alcotest.check_raises "short scratch"
+    (Invalid_argument "Elmore.moments_into: scratch shorter than the tree")
+    (fun () ->
+      Elmore.moments_into (simple_chain ()) ~down:[| 0.0 |] ~m1 ~m2)
+
+(* A refilled tree must pass the value checks [create] applies, so the
+   in-place sampling path rejects exactly what the rebuild-per-sample
+   path did. *)
+let test_refill_validates () =
+  let t = Rctree.copy (simple_chain ()) in
+  let res = [| 0.0; 100.0; 200.0 |] and cap = [| 0.5e-15; 1e-15; 2e-15 |] in
+  Rctree.refill t ~res ~cap;
+  Alcotest.check_raises "zero segment resistance"
+    (Invalid_argument "Rctree.refill: segment resistance must be positive")
+    (fun () -> Rctree.refill t ~res:[| 0.0; 0.0; 200.0 |] ~cap);
+  Alcotest.check_raises "negative capacitance"
+    (Invalid_argument "Rctree.refill: negative capacitance") (fun () ->
+      Rctree.refill t ~res ~cap:[| 0.5e-15; -1e-15; 2e-15 |]);
+  Alcotest.check_raises "root resistance"
+    (Invalid_argument "Rctree.refill: root resistance must be 0") (fun () ->
+      Rctree.refill t ~res:[| 1.0; 100.0; 200.0 |] ~cap)
+
+(* One wire mini-MC sample — draw the outcome, refill the scratch tree,
+   attach the pins, run the fused moment pass, read D2M and Elmore at
+   every tap — allocates only around its float-valued calls: the
+   outcome (derived generator, globals, local stream), then per varied
+   segment two deviates of at most 6 words each (the gaussian's boxed
+   result, the scaled deviate's, and the boxed sigma argument where
+   cross-module inlining is off), and per tap the D2M call's boxed
+   arguments and result.  The moment pass itself allocates nothing.
+   The rebuild-per-sample pipeline this replaced allocated about 3,600
+   words per sample on this net. *)
+let test_wire_sample_allocation () =
+  let g = Rng.create ~seed:96 in
+  let base = Wire_gen.for_fanout tech ~fanout:8 g in
+  let n = Rctree.n_nodes base in
+  let tree = Rctree.copy base in
+  let res = Array.make n 0.0 and cap = Array.make n 0.0 in
+  let down = Array.make n 0.0 and m1 = Array.make n 0.0 and m2 = Array.make n 0.0 in
+  let taps = base.Rctree.taps in
+  let n_taps = Array.length taps in
+  let sums = Array.make (2 * n_taps) 0.0 in
+  let sample i =
+    let v = Variation.draw tech (Rng.derive g ~index:i) in
+    Wire_gen.vary_into tech v ~base ~into:tree ~res ~cap;
+    for j = 0 to n_taps - 1 do
+      Rctree.bump_cap tree taps.(j) 0.7e-15
+    done;
+    Elmore.moments_into tree ~down ~m1 ~m2;
+    for j = 0 to n_taps - 1 do
+      let tap = taps.(j) in
+      sums.(j) <- sums.(j) +. Elmore.d2m ~m1:m1.(tap) ~m2:m2.(tap);
+      sums.(n_taps + j) <- sums.(n_taps + j) +. m1.(tap)
+    done
+  in
+  sample 0;
+  let samples = 200 in
+  let before = Gc.minor_words () in
+  for i = 1 to samples do
+    sample i
+  done;
+  let per_sample = (Gc.minor_words () -. before) /. float_of_int samples in
+  let bound = float_of_int ((12 * (n - 1)) + 64 + (8 * n_taps)) in
+  if per_sample > bound then
+    Alcotest.failf "one wire sample allocates %.1f words (bound %.0f)"
+      per_sample bound
+
 let test_ladder_properties () =
   let t = Rctree.ladder ~segments:10 ~res_per_seg:100.0 ~cap_per_seg:1e-15 in
   Alcotest.(check int) "nodes" 11 (Rctree.n_nodes t);
@@ -216,6 +323,7 @@ let () =
           Alcotest.test_case "add_cap" `Quick test_add_cap;
           Alcotest.test_case "scale" `Quick test_scale;
           Alcotest.test_case "ladder" `Quick test_ladder_properties;
+          Alcotest.test_case "refill validates" `Quick test_refill_validates;
         ] );
       ( "elmore",
         [
@@ -224,6 +332,10 @@ let () =
           Alcotest.test_case "driver resistance" `Quick test_elmore_driver_res;
           Alcotest.test_case "second moment" `Quick test_second_moment_positive;
           Alcotest.test_case "d2m" `Quick test_d2m_below_elmore;
+          Alcotest.test_case "fused moments bitwise" `Quick
+            test_fused_moments_bitwise;
+          Alcotest.test_case "wire sample allocation" `Quick
+            test_wire_sample_allocation;
         ] );
       ( "spef",
         [

@@ -256,6 +256,75 @@ let test_lvf_provider_sanity () =
   in
   Alcotest.(check bool) "mean near nominal (20%)" true (rel < 0.20)
 
+(* ---- golden bits: the provider's output pinned across refactors ---- *)
+
+(* The library as read back from an .lvf file.  The text format keeps 9
+   significant digits, so a freshly characterized library and its
+   loaded copy give different SSTA bits; a round trip through a private
+   file makes the golden independent of whether the shared cache
+   existed. *)
+let loaded_library =
+  lazy
+    (let path = Filename.temp_file "nsigma_test_ssta_golden" ".lvf" in
+     Fun.protect
+       ~finally:(fun () -> Sys.remove path)
+       (fun () ->
+         Library.save (Lazy.force library) path;
+         Library.load tech path))
+
+let dist_hex (d : Ssta.dist) =
+  let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "%h|%s|%s|%h|%h|%h" d.Ssta.d_mean (floats d.Ssta.d_a)
+    (floats d.Ssta.d_b) d.Ssta.d_var_l d.Ssta.d_m3_l d.Ssta.d_m4_l
+
+(* MD5 of every PO arrival distribution of a cold Clark SSTA on c432,
+   in report order, and of the (tap, dist, mean Elmore) wire entries of
+   its highest-fanout net (net 497: 8 taps, 17 nodes).  Recorded before
+   the wire mini-MC moved to the fused per-sample moment pass and the
+   generator state was unboxed; any change to either digest is a change
+   in reported numbers. *)
+let golden_pos = "b2167f366ec48648ff411c685da3a2f6"
+let golden_wire_net = 497
+let golden_wire = "07fdf12d07dae3dc1294070d0b165c7a"
+
+let test_golden_bits () =
+  let lib = Lazy.force loaded_library in
+  let design = Design.attach_parasitics tech ((Bm.find "c432").Bm.generate ()) in
+  List.iter
+    (fun (ename, exec) ->
+      let provider = Ssta.lvf_provider ~exec ~store_dir:None tech lib design in
+      let report = Ssta.analyze tech provider design in
+      let pos =
+        Ssta.pos report
+        |> List.map (fun (net, edge, d) ->
+               Printf.sprintf "%d %s %s\n" net
+                 (match edge with Provider.Rise -> "r" | Provider.Fall -> "f")
+                 (dist_hex d))
+        |> String.concat ""
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "PO dists digest (%s)" ename)
+        golden_pos
+        (Digest.to_hex (Digest.string pos));
+      let net = golden_wire_net in
+      let tree = design.Design.parasitics.(net) in
+      let wires =
+        Array.to_list tree.Nsigma_rcnet.Rctree.taps
+        |> List.map (fun tap ->
+               let w =
+                 provider.Engine_core.m_wire_delay ~net ~driver:None ~sink:None
+                   ~tree ~tap
+               in
+               Printf.sprintf "%d:%s:%h;" tap (dist_hex w.Ssta.dd) w.Ssta.d_slew_tc)
+        |> String.concat ""
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "wire entries digest (%s)" ename)
+        golden_wire
+        (Digest.to_hex (Digest.string wires)))
+    [ ("seq", Nsigma_exec.Executor.sequential);
+      ("pool2", Nsigma_exec.Executor.domain_pool ~jobs:2 ()) ]
+
 let () =
   Alcotest.run "nsigma_ssta"
     [
@@ -274,4 +343,6 @@ let () =
           Alcotest.test_case "lvf provider sanity" `Slow test_lvf_provider_sanity;
           Alcotest.test_case "validate smoke" `Slow test_validate_smoke;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "c432 PO + wire bits" `Slow test_golden_bits ] );
     ]

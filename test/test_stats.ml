@@ -102,6 +102,67 @@ let test_rng_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "shuffle is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The first draws of [create], [derive ~index], [split] and [copy],
+   recorded from the boxed-int64 generator this representation
+   replaced: the stream, the polar spare and the child-seeding rules
+   must survive any change to how the state is stored.  Int64 outputs
+   print as hex words, floats as [%h]. *)
+let test_rng_golden_streams () =
+  let out = ref [] in
+  let b g = out := Printf.sprintf "%Lx" (Rng.bits64 g) :: !out in
+  let u g = out := Printf.sprintf "%h" (Rng.uniform g) :: !out in
+  let n g = out := Printf.sprintf "%h" (Rng.gaussian g) :: !out in
+  let g = Rng.create ~seed:42 in
+  b g; b g; b g; u g; u g; n g; n g; n g;
+  (* [g] now holds a cached polar deviate: children must not inherit it,
+     a copy must. *)
+  let d = Rng.derive g ~index:7 in
+  b d; u d; n d; n d;
+  let sp = Rng.split g in
+  b sp; u sp; n sp; n sp;
+  let c = Rng.copy g in
+  n c; n g; b c; b g; n c; n g;
+  Alcotest.(check (list string))
+    "golden draws"
+    [ "d0764d4f4476689f"; "519e4174576f3791"; "fbe07cfb0c24ed8c";
+      "0x1.66fb3ec019b06p-1"; "0x1.96463870e908dp-1";
+      "0x1.dfa7fb0e60da8p-3"; "-0x1.fdf24d110f295p-1"; "0x1.de3b76e7d264bp-2";
+      (* derive ~index:7 *)
+      "7390239310077746"; "0x1.8fc001a3ac3bcp-2"; "-0x1.4f520e8e67418p-4";
+      "-0x1.101f4cc6c4092p-2";
+      (* split *)
+      "f4a2f8df1ee5d3f2"; "0x1.33ccd3e733061p-1"; "-0x1.b6037bac0a18fp-1";
+      "-0x1.cee6001752f4bp+0";
+      (* copy, interleaved with the original *)
+      "-0x1.4c6b705c0044p+0"; "-0x1.4c6b705c0044p+0"; "8f3dfa98020e7942";
+      "8f3dfa98020e7942"; "0x1.bd700cddb335ap-1"; "0x1.bd700cddb335ap-1" ]
+    (List.rev !out)
+
+(* Drawing allocates nothing of its own: the state words and the polar
+   spare live unboxed in the generator.  What remains is the boxed float
+   a non-inlined call returns (2 words); the int64-field generator this
+   replaced allocated about 30 words per deviate. *)
+let test_rng_draws_allocation_free () =
+  let g = Rng.create ~seed:5 in
+  let draws = 10_000 in
+  let per_draw f =
+    let acc = ref 0.0 in
+    ignore (f g : float);
+    let before = Gc.minor_words () in
+    for _ = 1 to draws do
+      acc := !acc +. f g
+    done;
+    let words = Gc.minor_words () -. before in
+    ignore (Sys.opaque_identity !acc);
+    words /. float_of_int draws
+  in
+  List.iter
+    (fun (what, f) ->
+      let w = per_draw f in
+      if w > 2.01 then
+        Alcotest.failf "%s allocates %.2f words per draw (bound 2)" what w)
+    [ ("gaussian", Rng.gaussian); ("uniform", Rng.uniform) ]
+
 (* ---------- Special functions ---------- *)
 
 let test_erf_values () =
@@ -737,6 +798,9 @@ let () =
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "exponential" `Quick test_rng_exponential;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
+          Alcotest.test_case "draws allocation-free" `Quick
+            test_rng_draws_allocation_free;
         ] );
       ( "special",
         [
