@@ -44,10 +44,8 @@ let provider library ~sigma ?(wire_derate = 0.10) () =
     Provider.label = Printf.sprintf "primetime-like(%+d)" sigma;
     cell_delay =
       (fun gate ~edge ~input_slew ~load_cap ->
-        let m =
-          Characterize.moments_at (find gate edge) ~slew:input_slew ~load:load_cap
-        in
-        m.Moments.mean *. (1.0 +. (n *. derate)));
+        Characterize.mean_at (find gate edge) ~slew:input_slew ~load:load_cap
+        *. (1.0 +. (n *. derate)));
     cell_out_slew =
       (fun gate ~edge ~input_slew ~load_cap ->
         (* Corner libraries carry corner-slow transitions. *)

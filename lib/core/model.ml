@@ -8,18 +8,33 @@ module Engine = Nsigma_sta.Engine
 module Design = Nsigma_sta.Design
 module Path = Nsigma_sta.Path
 
+type key = Cell.t * [ `Rise | `Fall ]
+
 type t = {
   tech : Nsigma_process.Technology.t;
   library : Library.t;
   cell_model : Cell_model.t;  (* pooled global fit (reported as Table I) *)
-  cell_models : (string * Cell_model.t) list;  (* per (cell, edge) *)
-  calibrations : (string * Calibration.t) list;
+  keys : key list;  (* library order: the save order *)
+  cell_models : (key, Cell_model.t) Hashtbl.t;
+  calibrations : (key, Calibration.t) Hashtbl.t;
   wire : Wire_model.t;
 }
 
-let calib_key cell edge =
-  Printf.sprintf "%s/%s" (Cell.name cell)
-    (match edge with `Rise -> "RISE" | `Fall -> "FALL")
+let edge_name = function `Rise -> "RISE" | `Fall -> "FALL"
+
+(* The key as written in the coefficients file. *)
+let key_name (cell, edge) = Cell.name cell ^ "/" ^ edge_name edge
+
+let key_of_name s =
+  match String.split_on_char '/' s with
+  | [ name; "RISE" ] -> (Cell.of_name name, `Rise)
+  | [ name; "FALL" ] -> (Cell.of_name name, `Fall)
+  | _ -> failwith (Printf.sprintf "bad cell key %S" s)
+
+let table_of keys f =
+  let tbl = Hashtbl.create 64 in
+  List.iter (fun k -> Hashtbl.replace tbl k (f k)) keys;
+  tbl
 
 let observations_of_table (table : Characterize.table) =
   Array.to_list table.Characterize.points
@@ -47,17 +62,12 @@ let build ?(fit_wire_scales = true) library =
      map over its own operating range is nearly linear in the Table-I
      features, while the pooled map is not. *)
   let cell_models =
-    List.map
-      (fun (cell, edge) ->
-        ( calib_key cell edge,
-          Cell_model.fit (observations_of_table (Library.find library cell ~edge)) ))
-      pairs
+    table_of pairs (fun (cell, edge) ->
+        Cell_model.fit (observations_of_table (Library.find library cell ~edge)))
   in
   let calibrations =
-    List.map
-      (fun (cell, edge) ->
-        (calib_key cell edge, Calibration.fit (Library.find library cell ~edge)))
-      pairs
+    table_of pairs (fun (cell, edge) ->
+        Calibration.fit (Library.find library cell ~edge))
   in
   let tech = Library.tech library in
   let wire =
@@ -72,20 +82,19 @@ let build ?(fit_wire_scales = true) library =
     tech;
     library;
     cell_model = Cell_model.fit observations;
+    keys = pairs;
     cell_models;
     calibrations;
     wire;
   }
 
-let calibration t cell ~edge =
-  match List.assoc_opt (calib_key cell edge) t.calibrations with
-  | Some c -> c
-  | None -> raise Not_found
+(* Per-hop lookups: structural keys, no name built. *)
+let calibration t cell ~edge = Hashtbl.find t.calibrations (cell, edge)
 
 let cell_model_for t cell ~edge =
-  match List.assoc_opt (calib_key cell edge) t.cell_models with
-  | Some cm -> cm
-  | None -> t.cell_model
+  match Hashtbl.find t.cell_models (cell, edge) with
+  | cm -> cm
+  | exception Not_found -> t.cell_model
 
 let cell_quantile t cell ~edge ~input_slew ~load_cap ~sigma =
   let calib = calibration t cell ~edge in
@@ -226,16 +235,22 @@ let save t path =
       in
       List.iter (write_level "LEVEL") t.cell_model.Cell_model.levels;
       List.iter
-        (fun (key, cm) ->
-          List.iter
-            (fun l -> write_level (Printf.sprintf "CLEVEL %s" key) l)
-            cm.Cell_model.levels)
-        t.cell_models;
+        (fun key ->
+          Option.iter
+            (fun cm ->
+              List.iter
+                (write_level (Printf.sprintf "CLEVEL %s" (key_name key)))
+                cm.Cell_model.levels)
+            (Hashtbl.find_opt t.cell_models key))
+        t.keys;
       List.iter
-        (fun (_, calib) ->
-          List.iter (fun line -> output_string oc (line ^ "\n"))
-            (Calibration.to_lines calib))
-        t.calibrations;
+        (fun key ->
+          Option.iter
+            (fun calib ->
+              List.iter (fun line -> output_string oc (line ^ "\n"))
+                (Calibration.to_lines calib))
+            (Hashtbl.find_opt t.calibrations key))
+        t.keys;
       List.iter (fun line -> output_string oc (line ^ "\n"))
         (Wire_model.to_lines t.wire))
 
@@ -256,7 +271,7 @@ let load library path =
       | "NSIGMA_MODEL 1" :: _ -> ()
       | _ -> fail "bad header");
       let levels = ref [] and calibs = ref [] and wire_lines = ref [] in
-      let cell_levels : (string, Cell_model.level_fit list) Hashtbl.t =
+      let cell_levels : (key, Cell_model.level_fit list) Hashtbl.t =
         Hashtbl.create 64
       in
       let cell_keys = ref [] in
@@ -279,6 +294,7 @@ let load library path =
           ->
           (match String.split_on_char ' ' line with
           | "CLEVEL" :: key :: sigma :: rest_words ->
+            let key = try key_of_name key with Failure msg -> fail msg in
             let sigma = int_of_string sigma in
             let coeffs, r2 = parse_coeffs [] rest_words in
             let existing =
@@ -320,12 +336,6 @@ let load library path =
       consume (List.tl lines);
       if !levels = [] then fail "no LEVEL lines";
       if !wire_lines = [] then fail "no WIRE section";
-      let calibrations =
-        List.rev_map
-          (fun calib ->
-            (calib_key (Calibration.cell calib) (Calibration.edge calib), calib))
-          !calibs
-      in
       let sort_levels ls =
         List.sort
           (fun (a : Cell_model.level_fit) b ->
@@ -333,14 +343,27 @@ let load library path =
           ls
       in
       let cell_models =
-        List.rev_map
-          (fun key -> (key, { Cell_model.levels = sort_levels (Hashtbl.find cell_levels key) }))
-          !cell_keys
+        Hashtbl.to_seq cell_levels
+        |> Seq.map (fun (key, ls) -> (key, { Cell_model.levels = sort_levels ls }))
+        |> Hashtbl.of_seq
       in
+      (* The first CALIB block of a pair wins; keys keep file order,
+         CLEVEL pairs first. *)
+      let calibrations = Hashtbl.create 64 in
+      let keys = ref (List.rev !cell_keys) in
+      List.iter
+        (fun calib ->
+          let key = (Calibration.cell calib, Calibration.edge calib) in
+          if not (Hashtbl.mem calibrations key) then begin
+            Hashtbl.add calibrations key calib;
+            if not (Hashtbl.mem cell_models key) then keys := !keys @ [ key ]
+          end)
+        (List.rev !calibs);
       {
         tech = Library.tech library;
         library;
         cell_model = { Cell_model.levels = sort_levels !levels };
+        keys = !keys;
         cell_models;
         calibrations;
         wire = Wire_model.of_lines !wire_lines;

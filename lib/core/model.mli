@@ -5,16 +5,23 @@
     Build once from a characterised library; then any netlist can be
     analysed at any sigma level without further Monte-Carlo. *)
 
+type key = Nsigma_liberty.Cell.t * [ `Rise | `Fall ]
+(** A (cell, edge) pair.  The per-pair tables are keyed by the pair
+    itself, so the per-hop lookups build no name. *)
+
 type t = {
   tech : Nsigma_process.Technology.t;
   library : Nsigma_liberty.Library.t;
   cell_model : Cell_model.t;
       (** pooled global Table-I coefficients, as the paper prints them *)
-  cell_models : (string * Cell_model.t) list;
+  keys : key list;
+      (** the characterised pairs in library order — the order {!save}
+          writes them in *)
+  cell_models : (key, Cell_model.t) Hashtbl.t;
       (** the same regression per (cell, edge) — the LUT-file form of
           Fig. 5, used by {!cell_quantile} (markedly more accurate than
           the pooled fit; see the ablation bench) *)
-  calibrations : (string * Calibration.t) list;  (** per (cell, edge) *)
+  calibrations : (key, Calibration.t) Hashtbl.t;  (** per (cell, edge) *)
   wire : Wire_model.t;
 }
 

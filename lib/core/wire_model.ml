@@ -6,7 +6,7 @@ module Regression = Nsigma_stats.Regression
 
 type t = {
   ratio_fo4 : float;
-  x_table : (string * float) list;
+  x_table : (Cell.t * float) list;
   scale_fi : float;
   scale_fo : float;
 }
@@ -43,16 +43,17 @@ let of_library library =
         if edge <> `Fall then None
         else
           Option.map
-            (fun r -> (Cell.name cell, r /. ratio_fo4))
+            (fun r -> (cell, r /. ratio_fo4))
             (library_ratio library cell))
       (Library.cells library)
   in
   { ratio_fo4; x_table; scale_fi = 1.0; scale_fo = 1.0 }
 
+(* Keyed by the cell itself: this per-hop lookup builds no name. *)
 let x_of t cell =
-  match List.assoc_opt (Cell.name cell) t.x_table with
-  | Some x -> x
-  | None -> theoretical_x cell
+  match List.assoc cell t.x_table with
+  | x -> x
+  | exception Not_found -> theoretical_x cell
 
 let cell_ratio t cell = x_of t cell *. t.ratio_fo4
 
@@ -96,7 +97,9 @@ let fit_scales t observations =
 
 let to_lines t =
   Printf.sprintf "WIRE %.9g %.9g %.9g" t.ratio_fo4 t.scale_fi t.scale_fo
-  :: List.map (fun (name, x) -> Printf.sprintf "X %s %.9g" name x) t.x_table
+  :: List.map
+       (fun (cell, x) -> Printf.sprintf "X %s %.9g" (Cell.name cell) x)
+       t.x_table
   @ [ "ENDWIRE" ]
 
 let of_lines lines =
@@ -113,7 +116,7 @@ let of_lines lines =
       List.filter_map
         (fun line ->
           match String.split_on_char ' ' line with
-          | [ "X"; name; x ] -> Some (name, float_of_string x)
+          | [ "X"; name; x ] -> Some (Cell.of_name name, float_of_string x)
           | [ "ENDWIRE" ] -> None
           | _ -> fail "bad X line")
         rest

@@ -17,7 +17,8 @@
 
 type t = {
   ratio_fo4 : float;  (** σ/μ of the INVX4 reference delay *)
-  x_table : (string * float) list;  (** X per cell name (eq. 6) *)
+  x_table : (Nsigma_liberty.Cell.t * float) list;
+      (** X per cell (eq. 6), in library order (the save order) *)
   scale_fi : float;  (** a of eq. 7 *)
   scale_fo : float;  (** b of eq. 7 *)
 }

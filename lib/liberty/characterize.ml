@@ -42,6 +42,12 @@ type table = {
   points : point array array;
 }
 
+let make_table ~cell ~edge ~vdd ~n_mc ~kernel ~sampling ~rtol ~slews ~loads
+    points =
+  Interpolate.check_grid ~x_name:"slew" ~y_name:"load" ~xs:slews ~ys:loads
+    points;
+  { cell; edge; vdd; n_mc; kernel; sampling; rtol; slews; loads; points }
+
 let reference_slew = 10e-12
 let reference_load = 0.4e-15
 
@@ -153,22 +159,10 @@ let characterize ?(n_mc = 2000) ?(seed = 1) ?(slews = default_slews) ?loads
                 p)
               ~n:n_points))
   in
-  let points =
-    Array.init (Array.length slews) (fun si ->
-        Array.sub flat (si * n_loads) n_loads)
-  in
-  {
-    cell;
-    edge;
-    vdd = tech.Technology.vdd_nominal;
-    n_mc;
-    kernel;
-    sampling;
-    rtol;
-    slews;
-    loads;
-    points;
-  }
+  make_table ~cell ~edge ~vdd:tech.Technology.vdd_nominal ~n_mc ~kernel
+    ~sampling ~rtol ~slews ~loads
+    (Array.init (Array.length slews) (fun si ->
+         Array.sub flat (si * n_loads) n_loads))
 
 let grid_signature =
   let axis name a =
@@ -195,22 +189,39 @@ let nearest axis v =
 let point_at table ~slew ~load =
   table.points.(nearest table.slews slew).(nearest table.loads load)
 
-let grid_of table f =
-  Interpolate.Grid2d.create ~xs:table.slews ~ys:table.loads
-    ~values:(Array.map (Array.map f) table.points)
+(* Lookups bracket (slew, load) once and read the fields straight from
+   the grid points; the table's shape was checked when it was built. *)
+let mean_of p = p.moments.Moments.mean
+let out_slew_of p = p.mean_out_slew
 
-let moments_at table ~slew ~load : Moments.summary =
-  let eval f = Interpolate.Grid2d.eval (grid_of table f) slew load in
-  {
-    n = table.n_mc;
-    mean = eval (fun p -> p.moments.Moments.mean);
-    std = eval (fun p -> p.moments.Moments.std);
-    skewness = eval (fun p -> p.moments.Moments.skewness);
-    kurtosis = eval (fun p -> p.moments.Moments.kurtosis);
-  }
+let mean_at table ~slew ~load =
+  Interpolate.bilinear ~xs:table.slews ~ys:table.loads table.points mean_of
+    slew load
 
 let out_slew_at table ~slew ~load =
-  Interpolate.Grid2d.eval (grid_of table (fun p -> p.mean_out_slew)) slew load
+  Interpolate.bilinear ~xs:table.slews ~ys:table.loads table.points
+    out_slew_of slew load
+
+let moments_at table ~slew ~load : Moments.summary =
+  let xs = table.slews and ys = table.loads in
+  let i = Interpolate.segment xs slew and j = Interpolate.segment ys load in
+  let fx = Interpolate.frac xs i slew and fy = Interpolate.frac ys j load in
+  let i1 = Interpolate.upper xs i and j1 = Interpolate.upper ys j in
+  let m00 = table.points.(i).(j).moments
+  and m01 = table.points.(i).(j1).moments
+  and m10 = table.points.(i1).(j).moments
+  and m11 = table.points.(i1).(j1).moments in
+  {
+    n = table.n_mc;
+    mean = Interpolate.blend ~fx ~fy m00.mean m01.mean m10.mean m11.mean;
+    std = Interpolate.blend ~fx ~fy m00.std m01.std m10.std m11.std;
+    skewness =
+      Interpolate.blend ~fx ~fy m00.skewness m01.skewness m10.skewness
+        m11.skewness;
+    kurtosis =
+      Interpolate.blend ~fx ~fy m00.kurtosis m01.kurtosis m10.kurtosis
+        m11.kurtosis;
+  }
 
 let quantile_at table ~slew ~load ~sigma =
   let idx =
@@ -218,7 +229,9 @@ let quantile_at table ~slew ~load ~sigma =
     | Some i -> i
     | None -> invalid_arg "Characterize.quantile_at: sigma outside -3..3"
   in
-  Interpolate.Grid2d.eval (grid_of table (fun p -> p.quantiles.(idx))) slew load
+  Interpolate.bilinear ~xs:table.slews ~ys:table.loads table.points
+    (fun p -> p.quantiles.(idx))
+    slew load
 
 let reference_point table =
   let close a b = Float.abs (a -. b) < 1e-18 in

@@ -15,7 +15,7 @@ type point = {
   mean_out_slew : float;
 }
 
-type table = {
+type table = private {
   cell : Cell.t;
   edge : [ `Rise | `Fall ];
   vdd : float;
@@ -30,6 +30,26 @@ type table = {
   loads : float array;  (** ascending *)
   points : point array array;  (** indexed [slew][load] *)
 }
+(** A table is only built by {!make_table} (which {!characterize} and
+    [Library.load] go through), so every table in hand has a valid
+    shape and the lookups below never re-check it. *)
+
+val make_table :
+  cell:Cell.t ->
+  edge:[ `Rise | `Fall ] ->
+  vdd:float ->
+  n_mc:int ->
+  kernel:Nsigma_spice.Cell_sim.kernel ->
+  sampling:Nsigma_stats.Sampler.backend ->
+  rtol:float option ->
+  slews:float array ->
+  loads:float array ->
+  point array array ->
+  table
+(** The one table constructor, and the one place the LUT shape is
+    checked: both axes non-empty and strictly increasing, and
+    [points] exactly [|slews|] rows of [|loads|] points.
+    @raise Invalid_argument naming the first violation. *)
 
 val reference_slew : float
 (** 10 ps — the paper's S_ref. *)
@@ -80,7 +100,9 @@ val characterize :
     ({!Nsigma_spice.Monte_carlo.arc_delays_sampled}): each point stops
     as soon as both ±3σ quantile CIs are within the relative tolerance,
     capped at [n_mc] samples.  Both choices are recorded in the table
-    and in the .lvf cache fingerprint. *)
+    and in the .lvf cache fingerprint.
+    @raise Invalid_argument if [slews] or [loads] is empty or not
+    strictly increasing ({!make_table}). *)
 
 val grid_signature : string
 (** Canonical dump of the characterisation-grid constants (default slew
@@ -91,16 +113,29 @@ val grid_signature : string
 val point_at : table -> slew:float -> load:float -> point
 (** Nearest grid point (exact match expected; nearest otherwise). *)
 
+(** {2 Lookups}
+
+    Bilinear interpolation across the grid, clamped at its edges — the
+    LVF-style access a conventional tool uses.  Each lookup brackets
+    (slew, load) once with {!Nsigma_stats.Interpolate} and reads the
+    fields straight from [points]: no per-call grid, no shape check.
+    Every result equals [Interpolate.Grid2d.eval] over the same field,
+    bit for bit. *)
+
 val moments_at : table -> slew:float -> load:float -> Nsigma_stats.Moments.summary
-(** Bilinear interpolation of each moment across the grid — the
-    LVF-style lookup a conventional tool would use. *)
+(** All four moments, from one bracket.  Allocates only its result. *)
+
+val mean_at : table -> slew:float -> load:float -> float
+(** The mean delay alone: [(moments_at table ~slew ~load).mean] without
+    building the summary.  Allocates only its boxed result. *)
 
 val out_slew_at : table -> slew:float -> load:float -> float
-(** Bilinear interpolation of the mean output slew (for slew
-    propagation in STA). *)
+(** The mean output slew (for slew propagation in STA).  Allocates only
+    its boxed result. *)
 
 val quantile_at : table -> slew:float -> load:float -> sigma:int -> float
-(** Bilinear interpolation of an empirical sigma-level quantile. *)
+(** An empirical sigma-level quantile.
+    @raise Invalid_argument for [sigma] outside −3…3. *)
 
 val reference_point : table -> point
 (** The grid point at (S_ref, C_ref).

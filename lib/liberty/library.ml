@@ -13,34 +13,26 @@ let m_cache_stale = Metrics.counter "lvf.cache.stale"
 
 type t = {
   tech : Technology.t;
-  tables : (string, Characterize.table) Hashtbl.t;
-  mutable order : string list;  (* reverse insertion order *)
+  tables : (Cell.t * [ `Rise | `Fall ], Characterize.table) Hashtbl.t;
+  mutable order : (Cell.t * [ `Rise | `Fall ]) list;  (* reverse insertion order *)
 }
-
-let key cell edge =
-  Printf.sprintf "%s/%s" (Cell.name cell)
-    (match edge with `Rise -> "rise" | `Fall -> "fall")
 
 let create tech = { tech; tables = Hashtbl.create 64; order = [] }
 
 let tech t = t.tech
 
 let add t (table : Characterize.table) =
-  let k = key table.Characterize.cell table.Characterize.edge in
+  let k = (table.Characterize.cell, table.Characterize.edge) in
   if not (Hashtbl.mem t.tables k) then t.order <- k :: t.order;
   Hashtbl.replace t.tables k table
 
-let find_opt t cell ~edge = Hashtbl.find_opt t.tables (key cell edge)
+(* The lookup on every timing arc: a structural key, so it allocates
+   only the key pair. *)
+let find t cell ~edge = Hashtbl.find t.tables (cell, edge)
 
-let find t cell ~edge =
-  match find_opt t cell ~edge with Some table -> table | None -> raise Not_found
+let find_opt t cell ~edge = Hashtbl.find_opt t.tables (cell, edge)
 
-let cells t =
-  List.rev_map
-    (fun k ->
-      let table = Hashtbl.find t.tables k in
-      (table.Characterize.cell, table.Characterize.edge))
-    t.order
+let cells t = List.rev t.order
 
 let characterize_all ?n_mc ?seed ?slews ?loads ?(edges = [ `Rise; `Fall ])
     ?exec ?kernel ?sampling ?rtol tech cell_list =
@@ -222,19 +214,17 @@ let load ?expect_kernel ?expect_sampling tech path =
             | Some s -> s
             | None -> fail lineno "TABLE before the NSIGMA_LIB header"
           in
-          add lib
-            {
-              Characterize.cell = p.p_cell;
-              edge = p.p_edge;
-              vdd = tech.Technology.vdd_nominal;
-              n_mc = p.p_n_mc;
-              kernel;
-              sampling;
-              rtol;
-              slews = p.p_slews;
-              loads = p.p_loads;
-              points;
-            };
+          let table =
+            try
+              Characterize.make_table ~cell:p.p_cell ~edge:p.p_edge
+                ~vdd:tech.Technology.vdd_nominal ~n_mc:p.p_n_mc ~kernel
+                ~sampling ~rtol ~slews:p.p_slews ~loads:p.p_loads points
+            with Invalid_argument msg ->
+              fail lineno
+                (Printf.sprintf "table %s %s: %s" (Cell.name p.p_cell)
+                   (edge_name p.p_edge) msg)
+          in
+          add lib table;
           current := None
       in
       let lineno = ref 0 in
@@ -327,6 +317,9 @@ let load ?expect_kernel ?expect_sampling tech path =
              | None -> fail !lineno "POINT outside TABLE"
              | Some p ->
                let i = int_of_string i and j = int_of_string j in
+               if i < 0 || i >= Array.length p.p_slews || j < 0
+                  || j >= Array.length p.p_loads
+               then fail !lineno (Printf.sprintf "POINT %d %d off the grid" i j);
                let values = List.map float_of_string rest in
                let nq = List.length Nsigma_stats.Quantile.sigma_levels in
                if List.length values <> nq + 1 then fail !lineno "bad POINT arity";

@@ -12,7 +12,9 @@ val tech : t -> Nsigma_process.Technology.t
 val add : t -> Characterize.table -> unit
 
 val find : t -> Cell.t -> edge:[ `Rise | `Fall ] -> Characterize.table
-(** @raise Not_found if the pair was never characterised. *)
+(** Tables are keyed by the (cell, edge) pair itself, so a lookup — one
+    per timing arc — builds no string and allocates only the key.
+    @raise Not_found if the pair was never characterised. *)
 
 val find_opt : t -> Cell.t -> edge:[ `Rise | `Fall ] -> Characterize.table option
 
@@ -85,8 +87,12 @@ val load :
     be that one, and [expect_sampling] the stored (backend, rtol) pair
     (the [load_or_characterize] staleness rules); without them any
     configuration is accepted and recorded in the loaded tables.
-    @raise Failure on parse errors, corner mismatch, a stale/legacy
-    (v1/v2/v3) fingerprint, or a kernel/sampling mismatch. *)
+    Every table's shape is checked here, once
+    ({!Characterize.make_table}).
+    @raise Failure on parse errors, a malformed table (empty or
+    non-increasing axis, a POINT off the grid or missing; reported as
+    ["path:line: …"]), corner mismatch, a stale/legacy (v1/v2/v3)
+    fingerprint, or a kernel/sampling mismatch. *)
 
 val load_or_characterize :
   ?n_mc:int ->

@@ -419,7 +419,9 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
      the dist_of_table rescale.  On a netlist with hundreds of instances
      of a handful of cell types this collapses the regression cost to
      one run per type. *)
-  let frac_cache : (string * int, arc_response) Hashtbl.t = Hashtbl.create 32 in
+  let frac_cache : (Cell.t * Provider.edge, arc_response) Hashtbl.t =
+    Hashtbl.create 32
+  in
   (* The store key pins everything the regression depends on: the
      library fingerprint covers technology, grid, kernel and sampling;
      the remaining knobs are this provider's own.  [wire_samples] does
@@ -433,21 +435,7 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d|approx=%b" (Lazy.force lib_fp)
       cell_name edge_ix frac_samples seed approx
   in
-  let rec arc_response (cell : Cell.t) edge =
-    let cache_key = (Cell.name cell, Engine_core.edge_index edge) in
-    match Hashtbl.find_opt frac_cache cache_key with
-    | Some r -> r
-    | None -> (
-      match
-        Option.bind store_dir (fun dir ->
-            Store.find ~dir ~key:(store_key cache_key)
-              ~decode:arc_response_of_string)
-      with
-      | Some resp ->
-        Hashtbl.add frac_cache cache_key resp;
-        resp
-      | None -> compute_arc_response cache_key cell edge)
-  and compute_arc_response cache_key (cell : Cell.t) edge =
+  let compute_arc_response cache_key (cell : Cell.t) edge =
       let resp =
         Metrics.span "sta.ssta.cell_frac" @@ fun () ->
         let sk = Cell.plan tech cell ~output_edge:(edge_of edge) in
@@ -571,12 +559,31 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
           ar_slew_mean = Moments.mean !sl_glob;
         }
       in
-      Hashtbl.add frac_cache cache_key resp;
       Option.iter
         (fun dir ->
           Store.save ~dir ~key:(store_key cache_key)
             (arc_response_to_string resp))
         store_dir;
+      resp
+  in
+  (* The cache is keyed by the cell itself, so a hit (every arc of the
+     walk but the first per pair) builds no name.  The (name, edge)
+     pair still keys the store and seeds the regression stream. *)
+  let arc_response (cell : Cell.t) edge =
+    match Hashtbl.find frac_cache (cell, edge) with
+    | r -> r
+    | exception Not_found ->
+      let cache_key = (Cell.name cell, Engine_core.edge_index edge) in
+      let resp =
+        match
+          Option.bind store_dir (fun dir ->
+              Store.find ~dir ~key:(store_key cache_key)
+                ~decode:arc_response_of_string)
+        with
+        | Some resp -> resp
+        | None -> compute_arc_response cache_key cell edge
+      in
+      Hashtbl.add frac_cache (cell, edge) resp;
       resp
   in
   (* An arc's distribution at its operating point: total moments from
@@ -719,11 +726,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
      piecewise linear in slew, so curvature lives only at the grid
      knots — use the divided difference through the three knots
      bracketing the operating point instead. *)
-  let dq_ds value_at ~slew =
+  let dq_ds value_at tbl ~load ~slew =
     let h = 0.1 *. slew in
-    (value_at ~slew:(slew +. h) -. value_at ~slew:(slew -. h)) /. (2.0 *. h)
+    (value_at tbl ~slew:(slew +. h) ~load -. value_at tbl ~slew:(slew -. h) ~load)
+    /. (2.0 *. h)
   in
-  let curvature value_at (tbl : Characterize.table) ~slew =
+  let curvature value_at (tbl : Characterize.table) ~load ~slew =
     let s = tbl.Characterize.slews in
     let n = Array.length s in
     if n < 3 then 0.0
@@ -733,9 +741,9 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         if Float.abs (s.(i) -. slew) < Float.abs (s.(!j) -. slew) then j := i
       done;
       let j = !j in
-      let f0 = value_at ~slew:s.(j - 1)
-      and f1 = value_at ~slew:s.(j)
-      and f2 = value_at ~slew:s.(j + 1) in
+      let f0 = value_at tbl ~slew:s.(j - 1) ~load
+      and f1 = value_at tbl ~slew:s.(j) ~load
+      and f2 = value_at tbl ~slew:s.(j + 1) ~load in
       2.0
       *. (((f2 -. f1) /. (s.(j + 1) -. s.(j)))
          -. ((f1 -. f0) /. (s.(j) -. s.(j - 1))))
@@ -755,11 +763,13 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
           match incoming ~in_net ~in_edge ~input_slew with
           | None -> base
           | Some (sa, sb, sl, var_s) ->
-            let mean_at ~slew =
-              (Characterize.moments_at tbl ~slew ~load:load_cap).Moments.mean
+            let d1 =
+              dq_ds Characterize.mean_at tbl ~load:load_cap ~slew:input_slew
             in
-            let d1 = dq_ds mean_at ~slew:input_slew in
-            let d2 = curvature mean_at tbl ~slew:input_slew in
+            let d2 =
+              curvature Characterize.mean_at tbl ~load:load_cap
+                ~slew:input_slew
+            in
             (* Stage coupling.  First order: this arc's delay moves with
                its input slew, which responds to the shared corners
                (compounding correlated variance) and to upstream
@@ -789,8 +799,9 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
       (fun gate ~edge ~in_net ~in_edge ~input_slew ~load_cap ->
         let cell = gate.Netlist.cell in
         let tbl = Library.find lib cell ~edge:(edge_of edge) in
-        let slew_at ~slew = Characterize.out_slew_at tbl ~slew ~load:load_cap in
-        let out = slew_at ~slew:input_slew in
+        let out =
+          Characterize.out_slew_at tbl ~slew:input_slew ~load:load_cap
+        in
         let resp = arc_response cell edge in
         (* Direct slew response measured at the reference point, rescaled
            proportionally to the operating-point slew. *)
@@ -801,8 +812,14 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
           match incoming ~in_net ~in_edge ~input_slew with
           | None -> (Array.make ng 0.0, Array.make ng 0.0, 0.0, 0.0)
           | Some (sa, sb, sl, var_s) ->
-            let s1 = dq_ds slew_at ~slew:input_slew in
-            let s2 = curvature slew_at tbl ~slew:input_slew in
+            let s1 =
+              dq_ds Characterize.out_slew_at tbl ~load:load_cap
+                ~slew:input_slew
+            in
+            let s2 =
+              curvature Characterize.out_slew_at tbl ~load:load_cap
+                ~slew:input_slew
+            in
             ( Array.init ng (fun i -> s1 *. sa.(i)),
               Array.init ng (fun i ->
                   (s1 *. sb.(i)) +. (0.5 *. s2 *. sa.(i) *. sa.(i))),

@@ -175,7 +175,9 @@ let test_theoretical_x () =
 let synthetic_wire_model () =
   {
     Wm.ratio_fo4 = 0.2;
-    x_table = [ ("INVX1", 2.0); ("INVX4", 1.0); ("NAND2X1", 1.5) ];
+    x_table =
+      [ (Cell.make Cell.Inv ~strength:1, 2.0); (Cell.make Cell.Inv ~strength:4, 1.0);
+        (Cell.make Cell.Nand2 ~strength:1, 1.5) ];
     scale_fi = 1.0;
     scale_fo = 1.0;
   }
@@ -288,6 +290,30 @@ let test_model_save_load () =
   check_close ~eps:1e-9 "wire scales persisted" model.Model.wire.Wm.scale_fi
     model2.Model.wire.Wm.scale_fi
 
+let test_model_save_load_save () =
+  (* Save -> load -> save reproduces every per-(cell, edge) key line
+     (CLEVEL, CALIB headers, X) in the same order, byte for byte.  SURF
+     lines are refitted from the grid on load, so they are left out. *)
+  let model = Model.build (Lazy.force small_library) in
+  let save m =
+    let path = Filename.temp_file "nsigma_model" ".coeffs" in
+    Model.save m path;
+    let text = In_channel.with_open_text path In_channel.input_all in
+    (path, text)
+  in
+  let path1, text1 = save model in
+  let model2 = Model.load (Lazy.force small_library) path1 in
+  let path2, text2 = save model2 in
+  Sys.remove path1;
+  Sys.remove path2;
+  let keep text =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> not (String.length l >= 5 && String.sub l 0 5 = "SURF_"))
+  in
+  Alcotest.(check (list string)) "non-surface lines stable" (keep text1) (keep text2);
+  Alcotest.(check bool) "per-cell lines present" true
+    (List.exists (fun l -> String.length l > 7 && String.sub l 0 7 = "CLEVEL ") (keep text1))
+
 let test_model_missing_cell_raises () =
   let model = Model.build (Lazy.force small_library) in
   Alcotest.(check bool) "uncharacterised cell" true
@@ -331,6 +357,7 @@ let () =
           Alcotest.test_case "quantiles ordered" `Slow test_model_build_and_quantiles_ordered;
           Alcotest.test_case "wire quantile" `Slow test_model_wire_quantile;
           Alcotest.test_case "save/load" `Slow test_model_save_load;
+          Alcotest.test_case "save/load/save stable" `Slow test_model_save_load_save;
           Alcotest.test_case "missing cell" `Slow test_model_missing_cell_raises;
         ] );
     ]

@@ -10,6 +10,7 @@ module Sampler = Nsigma_stats.Sampler
 module Cell_sim = Nsigma_spice.Cell_sim
 module Store = Nsigma_liberty.Store
 module Metrics = Nsigma_obs.Metrics
+module Grid2d = Nsigma_stats.Interpolate.Grid2d
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
@@ -160,6 +161,204 @@ let test_characterize_deterministic () =
   in
   check_close "same seed, same mean" t1.Ch.points.(0).(0).Ch.moments.Moments.mean
     t2.Ch.points.(0).(0).Ch.moments.Moments.mean
+
+(* ---------- LUT access: bitwise reference and allocation ---------- *)
+
+(* A tiny characterized library: every lookup below runs over each of
+   its tables. *)
+let tiny_library =
+  lazy
+    (Library.characterize_all ~n_mc:60 ~slews:small_slews
+       ~exec:Nsigma_exec.Executor.sequential tech
+       [ Cell.make Cell.Inv ~strength:1; Cell.make Cell.Nand2 ~strength:2 ])
+
+let tiny_tables () =
+  let lib = Lazy.force tiny_library in
+  List.map (fun (cell, edge) -> Library.find lib cell ~edge) (Library.cells lib)
+
+(* The same tables cut down to one-knot axes (1x1, 1xN, Nx1). *)
+let one_knot_tables () =
+  List.concat_map
+    (fun (t : Ch.table) ->
+      let rebuild ~slews ~loads points =
+        Ch.make_table ~cell:t.Ch.cell ~edge:t.Ch.edge ~vdd:t.Ch.vdd
+          ~n_mc:t.Ch.n_mc ~kernel:t.Ch.kernel ~sampling:t.Ch.sampling
+          ~rtol:t.Ch.rtol ~slews ~loads points
+      in
+      let s1 = [| t.Ch.slews.(1) |] and l1 = [| t.Ch.loads.(2) |] in
+      [
+        rebuild ~slews:s1 ~loads:l1 [| [| t.Ch.points.(1).(2) |] |];
+        rebuild ~slews:s1 ~loads:t.Ch.loads [| t.Ch.points.(1) |];
+        rebuild ~slews:t.Ch.slews ~loads:l1
+          (Array.map (fun row -> [| row.(2) |]) t.Ch.points);
+      ])
+    (tiny_tables ())
+
+(* The bilinear lookup as written before lookups shared one bracket: an
+   independent reference for the Float.min/max clamp and the summation
+   order. *)
+let reference_eval ~xs ~ys values x y =
+  let segment axis v =
+    let n = Array.length axis in
+    if n = 1 || v <= axis.(0) then 0
+    else if v >= axis.(n - 1) then max 0 (n - 2)
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if axis.(mid) <= v then lo := mid else hi := mid
+      done;
+      !lo
+    end
+  in
+  let frac axis i v =
+    let n = Array.length axis in
+    if n = 1 then 0.0
+    else begin
+      let a = axis.(i) and b = axis.(min (i + 1) (n - 1)) in
+      if b = a then 0.0 else Float.max 0.0 (Float.min 1.0 ((v -. a) /. (b -. a)))
+    end
+  in
+  let i = segment xs x and j = segment ys y in
+  let fx = frac xs i x and fy = frac ys j y in
+  let i1 = min (i + 1) (Array.length xs - 1) in
+  let j1 = min (j + 1) (Array.length ys - 1) in
+  ((1.0 -. fx) *. (1.0 -. fy) *. values.(i).(j))
+  +. ((1.0 -. fx) *. fy *. values.(i).(j1))
+  +. (fx *. (1.0 -. fy) *. values.(i1).(j))
+  +. (fx *. fy *. values.(i1).(j1))
+
+(* Where a lookup coordinate falls on an axis: on a knot, mid-interval,
+   at a fraction of the axis widened by half its span on each side
+   (beyond both edges), or on a signed zero. *)
+type spot = Knot of int | Mid of int | Along of float | Zero of bool
+
+let place axis spot =
+  let n = Array.length axis in
+  let lo = axis.(0) and hi = axis.(n - 1) in
+  match spot with
+  | Knot i -> axis.(i mod n)
+  | Mid i ->
+    let i = i mod n in
+    0.5 *. (axis.(i) +. axis.(min (i + 1) (n - 1)))
+  | Along u ->
+    let pad = Float.max (0.5 *. (hi -. lo)) (0.5 *. lo) in
+    lo -. pad +. (u *. (hi -. lo +. (2.0 *. pad)))
+  | Zero negative -> if negative then -0.0 else 0.0
+
+let spot_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Knot i) nat;
+        map (fun i -> Mid i) nat;
+        map (fun u -> Along u) (float_bound_inclusive 1.0);
+        map (fun b -> Zero b) bool;
+      ])
+
+let show_spot = function
+  | Knot i -> Printf.sprintf "Knot %d" i
+  | Mid i -> Printf.sprintf "Mid %d" i
+  | Along u -> Printf.sprintf "Along %h" u
+  | Zero b -> Printf.sprintf "Zero %b" b
+
+let bits = Int64.bits_of_float
+
+let test_lookup_bitwise =
+  QCheck.Test.make ~count:500 ~name:"LUT lookups = Grid2d.eval, bitwise"
+    (QCheck.make
+       ~print:(fun (k, (x, y)) -> Printf.sprintf "table %d, %s, %s" k (show_spot x) (show_spot y))
+       QCheck.Gen.(pair nat (pair spot_gen spot_gen)))
+    (fun (pick, (sx, sy)) ->
+      let tables = tiny_tables () @ one_knot_tables () in
+      let t = List.nth tables (pick mod List.length tables) in
+      let xs = t.Ch.slews and ys = t.Ch.loads in
+      let slew = place xs sx and load = place ys sy in
+      let same what f got =
+        let values = Array.map (Array.map f) t.Ch.points in
+        let grid = Grid2d.eval (Grid2d.create ~xs ~ys ~values) slew load in
+        let reference = reference_eval ~xs ~ys values slew load in
+        if bits got <> bits grid || bits got <> bits reference then
+          QCheck.Test.fail_reportf "%s at (%h, %h): got %h, Grid2d %h, reference %h"
+            what slew load got grid reference
+      in
+      let m = Ch.moments_at t ~slew ~load in
+      same "mean" (fun p -> p.Ch.moments.Moments.mean) m.Moments.mean;
+      same "std" (fun p -> p.Ch.moments.Moments.std) m.Moments.std;
+      same "skewness" (fun p -> p.Ch.moments.Moments.skewness) m.Moments.skewness;
+      same "kurtosis" (fun p -> p.Ch.moments.Moments.kurtosis) m.Moments.kurtosis;
+      same "mean_at" (fun p -> p.Ch.moments.Moments.mean) (Ch.mean_at t ~slew ~load);
+      same "out_slew_at" (fun p -> p.Ch.mean_out_slew) (Ch.out_slew_at t ~slew ~load);
+      List.iteri
+        (fun k sigma ->
+          same
+            (Printf.sprintf "quantile_at %d" sigma)
+            (fun p -> p.Ch.quantiles.(k))
+            (Ch.quantile_at t ~slew ~load ~sigma))
+        Nsigma_stats.Quantile.sigma_levels;
+      m.Moments.n = t.Ch.n_mc)
+
+(* Words allocated per call, over many calls at fixed (static)
+   coordinates inside and beyond the grid. *)
+let words_per_call f =
+  let n = 20_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n / 2 do
+    f ~slew:37e-12 ~load:1.3e-15;
+    f ~slew:1e-9 ~load:1e-18
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_lookup_allocation () =
+  let t = List.hd (tiny_tables ()) in
+  let lib = Lazy.force tiny_library in
+  let cell = t.Ch.cell and edge = t.Ch.edge in
+  let budget what limit words =
+    if words > limit then
+      Alcotest.failf "%s allocates %.1f words per call (budget %.0f)" what words
+        limit
+  in
+  budget "moments_at" 24.0
+    (words_per_call (fun ~slew ~load ->
+         ignore (Sys.opaque_identity (Ch.moments_at t ~slew ~load))));
+  budget "mean_at" 4.0
+    (words_per_call (fun ~slew ~load ->
+         ignore (Sys.opaque_identity (Ch.mean_at t ~slew ~load))));
+  budget "out_slew_at" 4.0
+    (words_per_call (fun ~slew ~load ->
+         ignore (Sys.opaque_identity (Ch.out_slew_at t ~slew ~load))));
+  budget "Library.find" 4.0
+    (words_per_call (fun ~slew:_ ~load:_ ->
+         ignore (Sys.opaque_identity (Library.find lib cell ~edge))))
+
+let test_make_table_rejects_bad_shapes () =
+  let t = Lazy.force small_table in
+  let rebuild ~slews ~loads points =
+    ignore
+      (Ch.make_table ~cell:t.Ch.cell ~edge:t.Ch.edge ~vdd:t.Ch.vdd
+         ~n_mc:t.Ch.n_mc ~kernel:t.Ch.kernel ~sampling:t.Ch.sampling
+         ~rtol:t.Ch.rtol ~slews ~loads points)
+  in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let swapped = Array.copy t.Ch.slews in
+  swapped.(0) <- t.Ch.slews.(1);
+  swapped.(1) <- t.Ch.slews.(0);
+  rejects "non-increasing slews" (fun () ->
+      rebuild ~slews:swapped ~loads:t.Ch.loads t.Ch.points);
+  rejects "repeated load" (fun () ->
+      let loads = Array.copy t.Ch.loads in
+      loads.(1) <- loads.(0);
+      rebuild ~slews:t.Ch.slews ~loads t.Ch.points);
+  rejects "empty axis" (fun () -> rebuild ~slews:[||] ~loads:t.Ch.loads [||]);
+  rejects "missing row" (fun () ->
+      rebuild ~slews:t.Ch.slews ~loads:t.Ch.loads (Array.sub t.Ch.points 0 2));
+  rejects "short row" (fun () ->
+      rebuild ~slews:t.Ch.slews ~loads:t.Ch.loads
+        (Array.map (fun row -> Array.sub row 0 3) t.Ch.points))
 
 (* ---------- Library ---------- *)
 
@@ -317,6 +516,55 @@ let test_library_load_rejects_wrong_vdd () =
        Sys.remove path;
        true)
 
+(* Save the small table, rewrite the .lvf line by line with [corrupt],
+   and load it back: the Failure message, if load rejects the file. *)
+let load_corrupted corrupt =
+  let lib = Library.create tech in
+  Library.add lib (Lazy.force small_table);
+  let path = Filename.temp_file "nsigma_test" ".lvf" in
+  Library.save lib path;
+  let lines =
+    In_channel.with_open_text path In_channel.input_all |> String.split_on_char '\n'
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (String.concat "\n" (List.map corrupt lines)));
+  let outcome =
+    match Library.load tech path with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  Sys.remove path;
+  (path, outcome)
+
+let check_load_failure what (path, outcome) needle =
+  let contains hay needle =
+    let n = String.length needle in
+    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+    go 0
+  in
+  match outcome with
+  | None -> Alcotest.failf "%s accepted" what
+  | Some msg ->
+    Alcotest.(check bool) ("located: " ^ msg) true
+      (String.starts_with ~prefix:(path ^ ":") msg);
+    Alcotest.(check bool) ("explains: " ^ msg) true (contains msg needle)
+
+let test_library_load_rejects_bad_table () =
+  (* A malformed table fails at load with the loader's "path:line:"
+     Failure, not at the first lookup deep inside a walk. *)
+  check_load_failure "swapped SLEWS knots"
+    (load_corrupted (fun line ->
+         match String.split_on_char ' ' line with
+         | "SLEWS" :: a :: b :: rest -> String.concat " " ("SLEWS" :: b :: a :: rest)
+         | _ -> line))
+    "slew axis not strictly increasing";
+  check_load_failure "POINT off the grid"
+    (load_corrupted (fun line ->
+         match String.split_on_char ' ' line with
+         | "POINT" :: "0" :: "0" :: rest -> String.concat " " ("POINT" :: "0" :: "9" :: rest)
+         | _ -> line))
+    "POINT 0 9 off the grid"
+
 (* ---------- Store ---------- *)
 
 let fresh_store_dir name =
@@ -463,6 +711,13 @@ let () =
           Alcotest.test_case "quantiles ordered" `Slow test_quantiles_ordered;
           Alcotest.test_case "interp at nodes" `Slow test_moments_at_matches_grid_point;
           Alcotest.test_case "deterministic" `Quick test_characterize_deterministic;
+          Alcotest.test_case "make_table shape check" `Slow
+            test_make_table_rejects_bad_shapes;
+        ] );
+      ( "lookup",
+        [
+          QCheck_alcotest.to_alcotest test_lookup_bitwise;
+          Alcotest.test_case "allocation budgets" `Slow test_lookup_allocation;
         ] );
       ( "library",
         [
@@ -475,6 +730,8 @@ let () =
           Alcotest.test_case "sampling roundtrip" `Slow test_library_sampling_roundtrip;
           Alcotest.test_case "sampling mismatch" `Slow test_library_load_rejects_sampling_mismatch;
           Alcotest.test_case "vdd check" `Slow test_library_load_rejects_wrong_vdd;
+          Alcotest.test_case "bad table rejected at load" `Slow
+            test_library_load_rejects_bad_table;
         ] );
       ( "store",
         [

@@ -325,6 +325,31 @@ let test_golden_bits () =
     [ ("seq", Nsigma_exec.Executor.sequential);
       ("pool2", Nsigma_exec.Executor.domain_pool ~jobs:2 ()) ]
 
+(* ---- warm-walk allocation: what one graph walk costs per gate ---- *)
+
+(* Words a warm Clark walk of c432 allocates per gate, with every
+   provider cache full, so the walk does only table lookups, max ops
+   and slew propagation.  Measured at 3,492 words/gate once LUT lookups
+   bracketed (slew, load) once instead of rebuilding four grids per
+   call; 17,252 before.  The bound is 1.5x the measured value. *)
+let warm_walk_words_per_gate = 5250.0
+
+let test_warm_walk_allocation () =
+  let lib = Lazy.force loaded_library in
+  let design = Design.attach_parasitics tech ((Bm.find "c432").Bm.generate ()) in
+  let gates = Array.length design.Design.netlist.Nsigma_netlist.Netlist.gates in
+  let provider =
+    Ssta.lvf_provider ~exec:Nsigma_exec.Executor.sequential ~store_dir:None tech
+      lib design
+  in
+  ignore (Ssta.analyze tech provider design);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Ssta.analyze tech provider design));
+  let per_gate = (Gc.minor_words () -. before) /. float_of_int gates in
+  if per_gate > warm_walk_words_per_gate then
+    Alcotest.failf "warm walk allocates %.0f words/gate (bound %.0f)" per_gate
+      warm_walk_words_per_gate
+
 let () =
   Alcotest.run "nsigma_ssta"
     [
@@ -345,4 +370,7 @@ let () =
         ] );
       ( "golden",
         [ Alcotest.test_case "c432 PO + wire bits" `Slow test_golden_bits ] );
+      ( "allocation",
+        [ Alcotest.test_case "c432 warm walk words/gate" `Slow
+            test_warm_walk_allocation ] );
     ]
