@@ -114,7 +114,11 @@ let span name f =
         ~finally:(fun () ->
           let dt = now () -. t0 in
           add_time t dt;
-          Log.debug "stage %s done%s" name (Log.kv [ ("seconds", Printf.sprintf "%.3f" dt) ]))
+          (* Guarded: the arguments are built before Log.debug can
+             discard them, and a short span costs little more. *)
+          if Log.enabled Log.Debug then
+            Log.debug "stage %s done%s" name
+              (Log.kv [ ("seconds", Printf.sprintf "%.3f" dt) ]))
         f
     end
   in

@@ -143,8 +143,9 @@ type hop_plan = {
   hp_cap : float array;
   hp_down : float array;
       (* [Elmore.moments_into] scratch, length n_nodes: the fast hop's
-         D2M and Elmore come from the same fused pass the SSTA wire
-         mini-MC runs, bitwise the [d2m_at]/[delay_at] of [fast_hop] *)
+         D2M and Elmore come from the same fused pass the SSTA
+         provider's wire moments run, bitwise the [d2m_at]/[delay_at]
+         of [fast_hop] *)
   hp_m1 : float array;
   hp_m2 : float array;
   hp_load_caps : (int * float) list;  (* sink pin caps, attach order *)

@@ -27,7 +27,6 @@ module Characterize = Nsigma_liberty.Characterize
 module Store = Nsigma_liberty.Store
 module Rctree = Nsigma_rcnet.Rctree
 module Elmore = Nsigma_rcnet.Elmore
-module Wire_gen = Nsigma_rcnet.Wire_gen
 module Arc = Nsigma_spice.Arc
 module Cell_sim = Nsigma_spice.Cell_sim
 module Monte_carlo = Nsigma_spice.Monte_carlo
@@ -45,6 +44,9 @@ module Trace = Nsigma_obs.Trace
 let m_max_ops = Metrics.counter "sta.ssta.max_ops"
 let m_max_clark = Metrics.counter "sta.ssta.max.clark"
 let m_max_moment = Metrics.counter "sta.ssta.max.moment"
+(* Counts the closed-form wire moments' RC-moment passes, 4n+1 per net
+   of n segments; the name predates the closed form, when it counted
+   wire mini-MC samples, and is kept for the readers keyed on it. *)
 let m_wire_mc = Metrics.counter "sta.ssta.wire_mc_samples"
 let m_frac_mc = Metrics.counter "sta.ssta.cell_frac_samples"
 
@@ -399,14 +401,15 @@ let handle_of_provider p =
     h_prewarm = (fun () -> ());
   }
 
-let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
+let lvf_handle ?(seed = 421) ?(frac_samples = 128)
     ?(exec = Executor.default ()) ?(batch = false) ?(approx = false)
     ?(store_dir = Store.default_dir ()) tech (lib : Library.t)
     (design : Design.t) : handle =
   let use_batch = batch || approx in
-  let master = Rng.create ~seed in
-  let wire_rng = Rng.derive master ~index:1 in
-  let frac_rng = Rng.derive master ~index:2 in
+  (* Stream index 2 is historical (index 1 once fed a wire mini-MC);
+     keeping it keeps the regressions' bits and every provider-store
+     entry valid. *)
+  let frac_rng = Rng.derive (Rng.create ~seed) ~index:2 in
   (* Paired mini-MC per (cell, edge): the same deviate vectors with and
      without local mismatch (local_scale = 0), fast kernel both times.
      iid standard deviates make the second-order regression a moment
@@ -424,12 +427,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
   in
   (* The store key pins everything the regression depends on: the
      library fingerprint covers technology, grid, kernel and sampling;
-     the remaining knobs are this provider's own.  [wire_samples] does
-     not enter: the store holds cell regressions only, never wire
-     results (the wire mini-MC always runs on the calling domain).  The
-     executor, which drives only the cell regressions, and [batch] do
-     not enter because they don't change the result (the batched kernel
-     is bit-identical unless [approx]). *)
+     the remaining knobs are this provider's own.  The store holds cell
+     regressions only, never wire results (those are closed-form and
+     run on the calling domain).  The executor, which drives only the
+     cell regressions, and [batch] do not enter because they don't
+     change the result (the batched kernel is bit-identical unless
+     [approx]). *)
   let lib_fp = lazy (Library.fingerprint lib) in
   let store_key (cell_name, edge_ix) =
     Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d|approx=%b" (Lazy.force lib_fp)
@@ -639,18 +642,19 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
       }
     end
   in
-  (* Per-net wire distributions: a mini-MC over the net's varied RC tree
-     (local BEOL deviates only, exactly Wire_gen.vary) evaluated with
-     the same D2M-at-tap metric as Path_mc's fast hop.  One pass fills
-     every tap of the net; the mean Elmore constant per tap feeds the
-     PERI slew degradation.
-
-     The loop runs on the calling domain with per-net scratch: each
-     sample refills a private copy of the tree in place, attaches the
-     sink pins and runs one fused moment pass, so a sample does only
-     arithmetic plus its deviate draws.  A pool dispatch per net costs
-     more than the whole 96-sample loop, and the result is the same
-     bits on every executor either way. *)
+  (* Per-net wire distributions in closed form.  The varied quantity is
+     the D2M value f at each tap (Path_mc's fast-hop metric) as a
+     function of the net's local BEOL deviates, one independent standard
+     normal per segment R and per segment C (exactly what Wire_gen.vary
+     draws).  Each deviate k is probed at ±1σ with every other deviate
+     at nominal, which fixes a per-tap quadratic
+       f ≈ f₀ + Σₖ aₖ zₖ + bₖ zₖ²,  aₖ = (f⁺−f⁻)/2,  bₖ = (f⁺+f⁻−2f₀)/2
+     whose cumulants add over independent deviates:
+       κ₁ = f₀+Σb, κ₂ = Σ a²+2b², κ₃ = Σ 6a²b+8b³, κ₄ = Σ 48a²b²+48b⁴.
+     That is 4n+1 fused moment passes for a net of n segments, each
+     pass scoring every tap at once.  The PERI slew constant is the
+     nominal Elmore value: m1 is bilinear in independent zero-mean
+     deviates, so its mean is the nominal m1 exactly. *)
   let wire_cache : (int, (int * dist * float) array) Hashtbl.t =
     Hashtbl.create 64
   in
@@ -658,38 +662,61 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     match Hashtbl.find_opt wire_cache net with
     | Some arr -> arr
     | None ->
+      let base = design.Design.parasitics.(net) in
+      let loads = Design.sink_caps tech design ~net in
+      let taps = base.Rctree.taps in
+      let n_taps = Array.length taps in
+      let n_nodes = Rctree.n_nodes base in
+      let tree = Rctree.copy base in
+      let res = Array.map (fun nd -> nd.Rctree.res) base.Rctree.nodes in
+      let cap = Array.map (fun nd -> nd.Rctree.cap) base.Rctree.nodes in
+      let down = Array.make n_nodes 0.0 in
+      let m1 = Array.make n_nodes 0.0 and m2 = Array.make n_nodes 0.0 in
+      (* One moment pass at the current [res]/[cap]: D2M per tap into [f]. *)
+      let score f =
+        Rctree.refill tree ~res ~cap;
+        List.iter (fun (node, c) -> Rctree.bump_cap tree node c) loads;
+        Elmore.moments_into tree ~down ~m1 ~m2;
+        for j = 0 to n_taps - 1 do
+          f.(j) <- Elmore.d2m ~m1:m1.(taps.(j)) ~m2:m2.(taps.(j))
+        done
+      in
+      let f0 = Array.make n_taps 0.0 in
+      score f0;
+      let elmore = Array.map (fun tap -> m1.(tap)) taps in
+      let fp = Array.make n_taps 0.0 and fm = Array.make n_taps 0.0 in
+      let k1 = Array.copy f0 and k2 = Array.make n_taps 0.0 in
+      let k3 = Array.make n_taps 0.0 and k4 = Array.make n_taps 0.0 in
+      let probe values i sigma =
+        let x = values.(i) in
+        values.(i) <- x *. (1.0 +. sigma);
+        score fp;
+        values.(i) <- x *. (1.0 -. sigma);
+        score fm;
+        values.(i) <- x;
+        for j = 0 to n_taps - 1 do
+          let a = (fp.(j) -. fm.(j)) /. 2.0 in
+          let b = (fp.(j) +. fm.(j) -. (2.0 *. f0.(j))) /. 2.0 in
+          let a2 = a *. a and b2 = b *. b in
+          k1.(j) <- k1.(j) +. b;
+          k2.(j) <- k2.(j) +. a2 +. (2.0 *. b2);
+          k3.(j) <- k3.(j) +. (6.0 *. a2 *. b) +. (8.0 *. b2 *. b);
+          k4.(j) <- k4.(j) +. (48.0 *. a2 *. b2) +. (48.0 *. b2 *. b2)
+        done
+      in
+      for i = 1 to n_nodes - 1 do
+        probe res i tech.Nsigma_process.Technology.sigma_wire_res;
+        probe cap i tech.Nsigma_process.Technology.sigma_wire_cap
+      done;
+      Metrics.incr m_wire_mc ~by:((4 * (n_nodes - 1)) + 1);
       let arr =
-        Metrics.span "sta.ssta.wire_mc" @@ fun () ->
-        let base = design.Design.parasitics.(net) in
-        let loads = Design.sink_caps tech design ~net in
-        let taps = base.Rctree.taps in
-        let rng = Rng.derive wire_rng ~index:net in
-        let n_nodes = Rctree.n_nodes base in
-        let tree = Rctree.copy base in
-        let scratch () = Array.make n_nodes 0.0 in
-        let res = scratch () and cap = scratch () in
-        let down = scratch () and m1 = scratch () and m2 = scratch () in
-        let accs = Array.map (fun _ -> Moments.empty) taps in
-        let elmore_sum = Array.map (fun _ -> 0.0) taps in
-        let attach (node, c) = Rctree.bump_cap tree node c in
-        for i = 0 to wire_samples - 1 do
-          let v = Variation.draw tech (Rng.derive rng ~index:i) in
-          Wire_gen.vary_into tech v ~base ~into:tree ~res ~cap;
-          List.iter attach loads;
-          Elmore.moments_into tree ~down ~m1 ~m2;
-          for j = 0 to Array.length taps - 1 do
-            let tap = taps.(j) in
-            accs.(j) <-
-              Moments.add accs.(j) (Elmore.d2m ~m1:m1.(tap) ~m2:m2.(tap));
-            elmore_sum.(j) <- elmore_sum.(j) +. m1.(tap)
-          done
-        done;
-        Metrics.incr m_wire_mc ~by:wire_samples;
         Array.mapi
           (fun j tap ->
-            ( tap,
-              of_summary ~global_frac:0.0 (Moments.summary accs.(j)),
-              elmore_sum.(j) /. float_of_int wire_samples ))
+            let s =
+              Moments.of_central ~n:1 ~mean:k1.(j) ~m2:k2.(j) ~m3:k3.(j)
+                ~m4:(k4.(j) +. (3.0 *. k2.(j) *. k2.(j)))
+            in
+            (tap, of_summary ~global_frac:0.0 s, elmore.(j)))
           taps
       in
       Hashtbl.add wire_cache net arr;
@@ -849,11 +876,12 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
         sqrt ((slew_at_root *. slew_at_root) +. (ws *. ws)));
   }
   in
-  (* Edited nets must recompute their wire mini-MC (new geometry / pin
+  (* Edited nets must recompute their wire moments (new geometry / pin
      caps) and forget their slew sensitivities; both rebuild
-     deterministically from per-net derived streams, so recomputing an
-     unedited net would reproduce its old entry bit for bit — which is
-     what makes clearing only the invalidated nets sound. *)
+     deterministically (the wire moments from the net's own tree and
+     loads alone), so recomputing an unedited net would reproduce its
+     old entry bit for bit — which is what makes clearing only the
+     invalidated nets sound. *)
   let invalidate_net net =
     Hashtbl.remove wire_cache net;
     Hashtbl.remove slew_tab (net, 0);
@@ -895,10 +923,10 @@ let lvf_handle ?(seed = 421) ?(wire_samples = 96) ?(frac_samples = 128)
     h_prewarm = prewarm;
   }
 
-let lvf_provider ?seed ?wire_samples ?frac_samples ?exec ?batch ?approx
-    ?store_dir tech lib design =
-  (lvf_handle ?seed ?wire_samples ?frac_samples ?exec ?batch ?approx
-     ?store_dir tech lib design)
+let lvf_provider ?seed ?frac_samples ?exec ?batch ?approx ?store_dir tech lib
+    design =
+  (lvf_handle ?seed ?frac_samples ?exec ?batch ?approx ?store_dir tech lib
+     design)
     .h_provider
 
 (* ---------------------------------------------------------------- *)

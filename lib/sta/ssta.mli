@@ -96,12 +96,12 @@ type provider = (delay, dist) Engine_core.model
 type handle = {
   h_provider : provider;
   h_invalidate_net : int -> unit;
-      (** Drop the provider's per-net retained state (wire mini-MC
-          results, slew sensitivities) so the next query recomputes it
-          from the edited design.  Per-net derived RNG streams make the
-          recomputation of {e unedited} nets reproduce their old
-          entries bit for bit, which is what makes selective
-          invalidation sound. *)
+      (** Drop the provider's per-net retained state (closed-form wire
+          moments, slew sensitivities) so the next query recomputes it
+          from the edited design.  Both are deterministic functions of
+          the net's own tree, loads and upstream state, so recomputing
+          an {e unedited} net reproduces its old entries bit for bit,
+          which is what makes selective invalidation sound. *)
   h_slew_sig : int -> int64 array;
       (** Bitwise signature of the provider's slew-sensitivity state
           for a net (both edges, presence-tagged float bits).  Slew
@@ -125,7 +125,6 @@ val handle_of_provider : provider -> handle
 
 val lvf_handle :
   ?seed:int ->
-  ?wire_samples:int ->
   ?frac_samples:int ->
   ?exec:Nsigma_exec.Executor.t ->
   ?batch:bool ->
@@ -149,7 +148,6 @@ val lvf_handle :
 
 val lvf_provider :
   ?seed:int ->
-  ?wire_samples:int ->
   ?frac_samples:int ->
   ?exec:Nsigma_exec.Executor.t ->
   ?batch:bool ->
@@ -169,24 +167,29 @@ val lvf_provider :
     moment regression (aᵢ = E[d·zᵢ], bᵢ = E[d·(zᵢ²−1)]/2 — exact for
     iid standard deviates), the linear and quadratic sensitivity shape,
     rescaled to the table's variance at the operating point.  Wire
-    segments get a per-net mini-MC ([wire_samples] outcomes of
-    {!Nsigma_rcnet.Wire_gen.vary}) evaluated with the same D2M-at-tap
+    segments get closed-form per-tap moments of the same D2M-at-tap
     metric and PERI slew model as {!Path_mc}'s fast hop, so validation
-    error isolates the propagation approximation.
+    error isolates the propagation approximation: one
+    {!Nsigma_rcnet.Elmore.moments_into} pass at nominal R and C, then
+    each segment's R at ×(1±σ_wire_res) and C at ×(1±σ_wire_cap) one
+    deviate at a time (4n+1 passes for n segments).  Each deviate k
+    gives a per-tap quadratic response (aₖ = (f⁺−f⁻)/2,
+    bₖ = (f⁺+f⁻−2f₀)/2) whose cumulants add over the independent
+    deviates of {!Nsigma_rcnet.Wire_gen.vary}: κ₁ = f₀+Σb,
+    κ₂ = Σa²+2b², κ₃ = Σ6a²b+8b³, κ₄ = Σ48a²b²+48b⁴.  The PERI slew
+    constant is the nominal Elmore value: m1 is bilinear in the
+    independent zero-mean R and C deviates, so its mean is exactly the
+    nominal m1.
 
     The cell mini-MC runs on [exec] (default
     {!Nsigma_exec.Executor.default}[ ()]): workers fill index-addressed
     per-sample arrays and the moment accumulators fold over them in
     index order on the calling domain, so populations are bit-identical
-    on every backend.  The wire mini-MC always runs on the calling
-    domain: per net it refills one scratch copy of the tree in place
-    ({!Nsigma_rcnet.Wire_gen.vary_into}) and scores each sample with
-    one fused moment pass ({!Nsigma_rcnet.Elmore.moments_into}), which
-    is cheaper than a pool dispatch and gives the same bits.  [batch]
-    routes the paired cell mini-MC through the SoA
+    on every backend.  The wire moments always run on the calling
+    domain (a net costs a few microseconds, less than a pool
+    dispatch).  [batch] routes the paired cell mini-MC through the SoA
     {!Nsigma_spice.Cell_sim.Batch} kernel (two batches per chunk: full
-    draws and their globals-only twins), still
-    bit-identical; [approx] (implies [batch]) swaps in the polynomial
+    draws and their globals-only twins), still bit-identical; [approx] (implies [batch]) swaps in the polynomial
     transcendentals — the opt-in [--no-bit-identical] mode.
 
     The regression is memoized per (cell name, edge): it runs at the

@@ -314,11 +314,10 @@ let test_incremental_real_provider () =
   in
   let design_inc = Design.attach_parasitics tech (make_netlist ()) in
   let design_ref = Design.attach_parasitics tech (make_netlist ()) in
-  (* Small sample counts keep the mini-MCs cheap; both sides share the
-     knobs so determinism, not accuracy, is under test. *)
+  (* A small sample count keeps the cell mini-MC cheap; both sides
+     share the knob so determinism, not accuracy, is under test. *)
   let handle =
-    Ssta.lvf_handle ~wire_samples:16 ~frac_samples:32 ~store_dir:None tech lib
-      design_inc
+    Ssta.lvf_handle ~frac_samples:32 ~store_dir:None tech lib design_inc
   in
   let inc = Incremental.init tech handle design_inc in
   let nl = design_inc.Design.netlist in
@@ -336,8 +335,7 @@ let test_incremental_real_provider () =
       ignore (Incremental.apply inc e);
       ignore (Design.apply_edit design_ref e);
       let provider_ref =
-        Ssta.lvf_provider ~wire_samples:16 ~frac_samples:32 ~store_dir:None
-          tech lib design_ref
+        Ssta.lvf_provider ~frac_samples:32 ~store_dir:None tech lib design_ref
       in
       let reference = Ssta.analyze tech provider_ref design_ref in
       if not (Incremental.reports_bit_identical (Incremental.report inc) reference)
@@ -357,8 +355,7 @@ let test_store_roundtrip () =
   let misses0 = Metrics.find_counter "provider.store.miss" in
   (* Cold: every regression misses the store, computes and saves. *)
   let h_cold =
-    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:(Some dir)
-      tech lib design
+    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech lib design
   in
   h_cold.Ssta.h_prewarm ();
   let misses = Metrics.find_counter "provider.store.miss" - misses0 in
@@ -367,8 +364,7 @@ let test_store_roundtrip () =
     (Array.length (Sys.readdir dir) > 0);
   (* Warm: a fresh provider loads every regression from disk. *)
   let h_warm =
-    Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~store_dir:(Some dir)
-      tech lib design
+    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech lib design
   in
   h_warm.Ssta.h_prewarm ();
   let hits = Metrics.find_counter "provider.store.hit" - hits0 in

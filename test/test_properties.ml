@@ -364,8 +364,8 @@ let prop_incremental_matches_scratch =
               let design_ref = Design.attach_parasitics tech nl_ref in
               let edits = edits_of_seed nl seed in
               let handle =
-                Ssta.lvf_handle ~wire_samples:8 ~frac_samples:16 ~exec
-                  ~store_dir:None tech lib design
+                Ssta.lvf_handle ~frac_samples:16 ~exec ~store_dir:None tech
+                  lib design
               in
               let inc = Incremental.init ~config tech handle design in
               List.for_all
@@ -373,8 +373,8 @@ let prop_incremental_matches_scratch =
                   ignore (Incremental.apply inc edit);
                   ignore (Design.apply_edit design_ref edit);
                   let provider =
-                    Ssta.lvf_provider ~wire_samples:8 ~frac_samples:16 ~exec
-                      ~store_dir:None tech lib design_ref
+                    Ssta.lvf_provider ~frac_samples:16 ~exec ~store_dir:None
+                      tech lib design_ref
                   in
                   let scratch =
                     Ssta.analyze ~config tech provider design_ref
