@@ -90,13 +90,14 @@ let all_cells =
 
 let the_library = ref None
 
+let library_path =
+  Printf.sprintf "bench_cache_%.2fV_mc%d.lvf" tech.T.vdd_nominal lib_mc
+
 let library () =
   match !the_library with
   | Some lib -> lib
   | None ->
-    let path =
-      Printf.sprintf "bench_cache_%.2fV_mc%d.lvf" tech.T.vdd_nominal lib_mc
-    in
+    let path = library_path in
     Printf.printf "[library] loading or characterising %d cells x 2 edges (mc=%d)\n"
       (List.length all_cells) lib_mc;
     Printf.printf "[library] cache: %s (delete to re-characterise)\n%!" path;
@@ -1904,9 +1905,12 @@ let ssta_bench () =
     nl.N.n_nets
     (Array.length nl.N.primary_outputs)
     ssta_k ssta_n;
-  (* Enable the registry so the max-operator counters record. *)
+  (* The timed passes run with the registry off, so [ssta_seconds] and
+     the gated speedup time the engine, not its instrumentation; the
+     max-operator counters come from one extra untimed, instrumented
+     pass per operator. *)
   let was_enabled = Metrics.enabled () in
-  Metrics.set_enabled true;
+  Metrics.set_enabled false;
   (* One provider shared by both operator configs: its lazy per-net wire
      and per-cell decomposition caches are a one-time cost, reported
      separately so the gated speedup measures the steady-state
@@ -1948,10 +1952,21 @@ let ssta_bench () =
      marginal-skew overestimates compound over thousands of joins where
      Clark's symmetric treatment cancels — recorded, not gated. *)
   let moment = run Stat_max.Moment in
-  let max_ops = Metrics.find_counter "sta.ssta.max_ops" in
-  let max_clark = Metrics.find_counter "sta.ssta.max.clark" in
-  let max_moment = Metrics.find_counter "sta.ssta.max.moment" in
+  let ops0 = Metrics.find_counter "sta.ssta.max_ops" in
+  let clark0 = Metrics.find_counter "sta.ssta.max.clark" in
+  let moment0 = Metrics.find_counter "sta.ssta.max.moment" in
+  Metrics.set_enabled true;
+  List.iter
+    (fun op ->
+      ignore
+        (Ssta.validate ~n:8 ~k:ssta_k ~provider
+           ~config:{ Ssta.op; corr = Ssta.Tracked }
+           tech lib design))
+    [ Stat_max.Clark; Stat_max.Moment ];
   Metrics.set_enabled was_enabled;
+  let max_ops = Metrics.find_counter "sta.ssta.max_ops" - ops0 in
+  let max_clark = Metrics.find_counter "sta.ssta.max.clark" - clark0 in
+  let max_moment = Metrics.find_counter "sta.ssta.max.moment" - moment0 in
   let speedup =
     clark.Ssta.va_mc_seconds /. Float.max 1e-9 clark.Ssta.va_ssta_seconds
   in
@@ -2122,7 +2137,12 @@ let incr_workload st (nl : N.t) n =
 
 let incr_bench () =
   header "Incremental re-timing — per-edit cone re-evaluation vs from-scratch";
-  let lib = library () in
+  (* Every library value is a load of the cache file, so all agree bit
+     for bit.  A library memoizes the provider's regressions, so each
+     timed store phase gets a load of its own: the store is then what
+     the phase times, not the memo. *)
+  ignore (library ());
+  let fresh_library () = Library.load tech library_path in
   let nl = (Bm.find incr_circuit).Bm.generate () in
   let nl_twin = (Bm.find incr_circuit).Bm.generate () in
   let design = Design.attach_parasitics tech nl in
@@ -2141,8 +2161,9 @@ let incr_bench () =
   let was_enabled = Metrics.enabled () in
   Metrics.set_enabled true;
   (* Provider store: time the whole per-(cell, edge) regression cost
-     cold (empty store) and store-warm (second fresh handle, same
-     directory) — the warm load must be a small fraction of cold. *)
+     cold (empty store) and store-warm (fresh handle on a fresh library,
+     same directory) — the warm load must be a small fraction of
+     cold. *)
   let store_dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -2155,7 +2176,7 @@ let incr_bench () =
    else Unix.mkdir store_dir 0o755);
   let cold_handle =
     Ssta.lvf_handle ~frac_samples:incr_frac ~store_dir:(Some store_dir) tech
-      lib design
+      (fresh_library ()) design
   in
   let t0 = Unix.gettimeofday () in
   cold_handle.Ssta.h_prewarm ();
@@ -2164,19 +2185,20 @@ let incr_bench () =
      page-cache read or GC pause doesn't swamp a measurement that is
      only tens of milliseconds of file I/O. *)
   let warm_once () =
+    let lib = fresh_library () in
     let h =
       Ssta.lvf_handle ~frac_samples:incr_frac ~store_dir:(Some store_dir) tech
         lib design
     in
     let t0 = Unix.gettimeofday () in
     h.Ssta.h_prewarm ();
-    (Unix.gettimeofday () -. t0, h)
+    (Unix.gettimeofday () -. t0, (lib, h))
   in
-  let warm_s, handle =
+  let warm_s, (lib, handle) =
     let w1, _ = warm_once () in
     let w2, _ = warm_once () in
-    let w3, h = warm_once () in
-    (Float.min w1 (Float.min w2 w3), h)
+    let w3, lh = warm_once () in
+    (Float.min w1 (Float.min w2 w3), lh)
   in
   let store_hits = Metrics.find_counter "provider.store.hit" in
   let store_misses = Metrics.find_counter "provider.store.miss" in
@@ -2190,8 +2212,11 @@ let incr_bench () =
   let init_s = Unix.gettimeofday () -. t0 in
   Printf.printf "  initial full pass: %.2fs\n%!" init_s;
   (* Per edit: incremental apply vs an honest from-scratch re-analysis —
-     fresh provider with the store disabled (cold regressions) plus a
-     full pass — on a twin design receiving the same edit sequence. *)
+     fresh provider with the store disabled plus a full pass — on a twin
+     design receiving the same edit sequence.  The provider shares the
+     incremental handle's library, as a re-analysis in the same process
+     would, so its memo serves the regressions and the scratch arm pays
+     for the wire moments and the walk. *)
   let n_edits = List.length edits in
   let speedups = Array.make n_edits 0.0 in
   let all_identical = ref true in

@@ -15,9 +15,14 @@ type t = {
   tech : Technology.t;
   tables : (Cell.t * [ `Rise | `Fall ], Characterize.table) Hashtbl.t;
   mutable order : (Cell.t * [ `Rise | `Fall ]) list;  (* reverse insertion order *)
+  regressions :
+    ( Regression.settings,
+      (Cell.t * [ `Rise | `Fall ], Regression.t) Hashtbl.t )
+    Hashtbl.t;
 }
 
-let create tech = { tech; tables = Hashtbl.create 64; order = [] }
+let create tech =
+  { tech; tables = Hashtbl.create 64; order = []; regressions = Hashtbl.create 4 }
 
 let tech t = t.tech
 
@@ -125,6 +130,44 @@ let fingerprint t =
   let kernel = library_kernel t in
   let sampling, rtol = library_sampling t in
   cache_fingerprint t.tech ~kernel ~sampling ~rtol
+
+(* The regression memo: an inner table per settings value, the outer
+   key compared structurally.  A regression reads no table, so adding
+   tables never invalidates an entry.  The inner table is found once per
+   lookup function, so a hit costs one structural find. *)
+let regressions ?exec ?batch ?(store_dir = Store.default_dir ()) t settings =
+  let memo =
+    match Hashtbl.find_opt t.regressions settings with
+    | Some memo -> memo
+    | None ->
+      let memo = Hashtbl.create 64 in
+      Hashtbl.add t.regressions settings memo;
+      memo
+  in
+  fun cell ~edge ->
+    match Hashtbl.find memo (cell, edge) with
+    | r -> r
+    | exception Not_found ->
+      let key =
+        lazy
+          (Regression.store_key ~fingerprint:(fingerprint t) settings cell ~edge)
+      in
+      let r =
+        match
+          Option.bind store_dir (fun dir ->
+              Store.find ~dir ~key:(Lazy.force key) ~decode:Regression.of_string)
+        with
+        | Some r -> r
+        | None ->
+          let r = Regression.compute ?exec ?batch settings cell ~edge in
+          Option.iter
+            (fun dir ->
+              Store.save ~dir ~key:(Lazy.force key) (Regression.to_string r))
+            store_dir;
+          r
+      in
+      Hashtbl.add memo (cell, edge) r;
+      r
 
 let save t path =
   let oc = open_out path in

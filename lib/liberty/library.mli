@@ -64,6 +64,40 @@ val fingerprint : t -> string
     @raise Failure under the same mixed-configuration rules as
     {!save}. *)
 
+(** {2 Regression memo}
+
+    A library value also memoizes the statistical provider's
+    per-(cell, edge) reference-point regressions ({!Regression}), so
+    every provider handle, design and serve context built on one
+    library pays for each regression once.  A freshly {!create}d or
+    {!load}ed library starts with an empty memo.  The memo is keyed by
+    the {!Regression.settings} (technology compared structurally, seed,
+    sample count, approx mode), then by the (cell, edge) pair.  It is
+    filled by the domain that runs the walk, like {!add}: the
+    regression's samples may run on a pool, but the memo itself is not
+    thread-safe. *)
+
+val regressions :
+  ?exec:Nsigma_exec.Executor.t ->
+  ?batch:bool ->
+  ?store_dir:string option ->
+  t ->
+  Regression.settings ->
+  Cell.t ->
+  edge:[ `Rise | `Fall ] ->
+  Regression.t
+(** [regressions lib settings] is the lookup of one arc's regression
+    under [settings], served in the order memo → {!Store} → compute.
+    The memo's table for [settings] is found (or created empty) once,
+    when the lookup is made, so a memo hit is one structural
+    [Hashtbl.find].  The store is consulted only when the memo misses,
+    under {!Regression.store_key} with this library's {!fingerprint}; a
+    computed regression is saved there.  [store_dir] defaults to
+    {!Store.default_dir}[ ()], [~store_dir:None] disables the store.
+    [exec] and [batch] go to {!Regression.compute} and do not change
+    the result.  Store payloads round-trip exactly, so a memo-, store-
+    or compute-served regression is the same bits. *)
+
 val save : t -> string -> unit
 (** Write the library to a text file (format version 4, carrying the
     kernel name, the sampling backend, the rtol token and

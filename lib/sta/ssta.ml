@@ -25,11 +25,10 @@ module Cell = Nsigma_liberty.Cell
 module Library = Nsigma_liberty.Library
 module Characterize = Nsigma_liberty.Characterize
 module Store = Nsigma_liberty.Store
+module Regression = Nsigma_liberty.Regression
 module Rctree = Nsigma_rcnet.Rctree
 module Elmore = Nsigma_rcnet.Elmore
-module Arc = Nsigma_spice.Arc
 module Cell_sim = Nsigma_spice.Cell_sim
-module Monte_carlo = Nsigma_spice.Monte_carlo
 module Executor = Nsigma_exec.Executor
 module Variation = Nsigma_process.Variation
 module Moments = Nsigma_stats.Moments
@@ -48,18 +47,25 @@ let m_max_moment = Metrics.counter "sta.ssta.max.moment"
    of n segments; the name predates the closed form, when it counted
    wire mini-MC samples, and is kept for the readers keyed on it. *)
 let m_wire_mc = Metrics.counter "sta.ssta.wire_mc_samples"
-let m_frac_mc = Metrics.counter "sta.ssta.cell_frac_samples"
 
 (* Per-reconvergence accuracy signals (arXiv:2401.03588 ablates the max
    operator exactly here).  [tightness] is Clark's P(first input wins) —
    dimensionless in [0,1], recorded through the seconds-bucketed
-   histogram as-is, so bucket bounds read as plain numbers.  [delta] is
-   |mean(Clark max) − mean(moment max)| in seconds for the same inputs:
-   the disagreement between the two operators, i.e. where the choice of
-   max actually matters on this netlist.  Both are also emitted as
-   per-max-op trace instants ([tightness], [delta_s], [rho]). *)
+   histogram as-is, so bucket bounds read as plain numbers — on every
+   max op.  [delta] is |mean(Clark max) − mean(moment max)| in seconds
+   for the same inputs: the disagreement between the two operators, i.e.
+   where the choice of max actually matters on this netlist.  It costs a
+   second max evaluation, so it is sampled on one max op in
+   [delta_every], counted across the process; a sampled op also emits
+   the trace instant ([tightness], [delta_s], [rho]). *)
 let h_max_tightness = Metrics.histogram "sta.ssta.max.tightness"
 let h_max_delta = Metrics.histogram "sta.ssta.max.delta_seconds"
+let delta_every = 64
+
+(* Which max ops sample [delta]: a plain counter, unsynchronised across
+   domains.  It only picks the ops that record, never what a max
+   computes, so a lost update costs nothing but a sample. *)
+let delta_tick = ref 0
 
 let tr_max =
   Trace.instant_type ~cat:"ssta" ~args:[ "tightness"; "delta_s"; "rho" ]
@@ -272,24 +278,30 @@ let join_dist (cfg : config) (a : dist) (b : dist) =
   let sa = to_summary a and sb = to_summary b in
   let r = Stat_max.apply cfg.op ~rho sa sb in
   (* The Clark-vs-moment disagreement costs a second max evaluation, so
-     it is computed only when something records it; it reads the same
-     inputs and never feeds back into the arrival, keeping the
-     propagated graph identical with observability on or off. *)
+     it is computed only when something records it, and then on one op
+     in [delta_every]; it reads the same inputs and never feeds back
+     into the arrival, keeping the propagated graph identical with
+     observability on or off. *)
   if Metrics.enabled () || Trace.enabled () then begin
-    let alt =
-      Stat_max.apply
-        (match cfg.op with
-        | Stat_max.Clark -> Stat_max.Moment
-        | Stat_max.Moment -> Stat_max.Clark)
-        ~rho sa sb
-    in
-    let delta =
-      Float.abs (r.Stat_max.dist.Moments.mean -. alt.Stat_max.dist.Moments.mean)
-    in
     Metrics.observe h_max_tightness r.Stat_max.p_first;
-    Metrics.observe h_max_delta delta;
-    if Trace.enabled () then
-      Trace.instant tr_max ~a:r.Stat_max.p_first ~b:delta ~c:rho ()
+    let tick = !delta_tick in
+    delta_tick := tick + 1;
+    if tick mod delta_every = 0 then begin
+      let alt =
+        Stat_max.apply
+          (match cfg.op with
+          | Stat_max.Clark -> Stat_max.Moment
+          | Stat_max.Moment -> Stat_max.Clark)
+          ~rho sa sb
+      in
+      let delta =
+        Float.abs
+          (r.Stat_max.dist.Moments.mean -. alt.Stat_max.dist.Moments.mean)
+      in
+      Metrics.observe h_max_delta delta;
+      if Trace.enabled () then
+        Trace.instant tr_max ~a:r.Stat_max.p_first ~b:delta ~c:rho ()
+    end
   end;
   resplit r a b
 
@@ -322,23 +334,6 @@ let edge_of = function Provider.Rise -> `Rise | Provider.Fall -> `Fall
    score a sample with the same [Elmore.moments_into] pass. *)
 let peri_slew_factor = Float.log 4.0 /. 0.6
 
-(* Per-(cell, edge) global response estimated at the reference point:
-   linear and quadratic sensitivities of the arc delay AND output slew
-   to each global deviate, the fraction of total delay variance the
-   corners explain, and the local component of the output slew.  Slew
-   responses are what couples consecutive stages: a slow corner slows
-   every upstream edge, which further slows every downstream cell — the
-   cell–wire/stage interaction a fixed-slew table lookup misses. *)
-type arc_response = {
-  ar_a : float array;  (* delay linear sensitivities (s) *)
-  ar_b : float array;  (* delay quadratic sensitivities (s) *)
-  ar_frac : float;  (* global share of delay variance *)
-  ar_sa : float array;  (* out-slew linear sensitivities (s) *)
-  ar_sb : float array;  (* out-slew quadratic sensitivities (s) *)
-  ar_sl : float;  (* out-slew local (mismatch) sigma (s) *)
-  ar_slew_mean : float;  (* mean out-slew at the reference point (s) *)
-}
-
 (* Global/local sensitivity of a net's slew, stored per (net, edge) as
    the walk reaches each driver: the sensitivities of the driver's
    output slew plus its own inherited input-slew coupling. *)
@@ -348,43 +343,6 @@ type slew_sens = {
   ss_l : float;  (* slew local sigma (s) *)
   ss_root : float;  (* the mean slew these sensitivities describe (s) *)
 }
-
-(* Exact round-trip serialisation of an arc regression for the on-disk
-   store: hex float literals ("%h") survive printf/float_of_string
-   bit-for-bit, so a warm load reproduces the cold computation
-   exactly. *)
-let arc_response_to_string (r : arc_response) =
-  let b = Buffer.create 256 in
-  let add f = Buffer.add_string b (Printf.sprintf "%h " f) in
-  Array.iter add r.ar_a;
-  Array.iter add r.ar_b;
-  add r.ar_frac;
-  Array.iter add r.ar_sa;
-  Array.iter add r.ar_sb;
-  add r.ar_sl;
-  add r.ar_slew_mean;
-  Buffer.contents b
-
-let arc_response_of_string s =
-  let toks =
-    List.filter (fun t -> t <> "") (String.split_on_char ' ' (String.trim s))
-  in
-  let opts = List.map float_of_string_opt toks in
-  if List.length opts <> (4 * ng) + 3 || List.exists Option.is_none opts then
-    None
-  else begin
-    let a = Array.of_list (List.map Option.get opts) in
-    Some
-      {
-        ar_a = Array.sub a 0 ng;
-        ar_b = Array.sub a ng ng;
-        ar_frac = a.(2 * ng);
-        ar_sa = Array.sub a ((2 * ng) + 1) ng;
-        ar_sb = Array.sub a ((3 * ng) + 1) ng;
-        ar_sl = a.((4 * ng) + 1);
-        ar_slew_mean = a.((4 * ng) + 2);
-      }
-  end
 
 type handle = {
   h_provider : provider;
@@ -405,195 +363,22 @@ let lvf_handle ?(seed = 421) ?(frac_samples = 128)
     ?(exec = Executor.default ()) ?(batch = false) ?(approx = false)
     ?(store_dir = Store.default_dir ()) tech (lib : Library.t)
     (design : Design.t) : handle =
-  let use_batch = batch || approx in
-  (* Stream index 2 is historical (index 1 once fed a wire mini-MC);
-     keeping it keeps the regressions' bits and every provider-store
-     entry valid. *)
-  let frac_rng = Rng.derive (Rng.create ~seed) ~index:2 in
-  (* Paired mini-MC per (cell, edge): the same deviate vectors with and
-     without local mismatch (local_scale = 0), fast kernel both times.
-     iid standard deviates make the second-order regression a moment
-     average: a_i = E[d·z_i], b_i = E[d·(z_i²−1)]/2.
-
-     The cache is the memoization seam: every net driven by the same
-     (cell, edge) pair shares one regression, because the mini-MC runs
-     at the fixed reference operating point (Characterize.reference_slew
-     / FO4 load) — the per-net operating point only enters later, via
-     the dist_of_table rescale.  On a netlist with hundreds of instances
-     of a handful of cell types this collapses the regression cost to
-     one run per type. *)
-  let frac_cache : (Cell.t * Provider.edge, arc_response) Hashtbl.t =
-    Hashtbl.create 32
+  (* Every net driven by the same (cell, edge) pair shares one
+     regression: it runs at the fixed reference operating point, and the
+     per-net operating point only enters later, via the dist_of_table
+     rescale.  The regressions live in the library's memo, so a new
+     handle on a warm library computes none, and a hit is one structural
+     lookup that builds no name. *)
+  let regression =
+    Library.regressions ~exec ~batch ~store_dir lib
+      { Regression.tech; seed; frac_samples; approx }
   in
-  (* The store key pins everything the regression depends on: the
-     library fingerprint covers technology, grid, kernel and sampling;
-     the remaining knobs are this provider's own.  The store holds cell
-     regressions only, never wire results (those are closed-form and
-     run on the calling domain).  The executor, which drives only the
-     cell regressions, and [batch] do not enter because they don't
-     change the result (the batched kernel is bit-identical unless
-     [approx]). *)
-  let lib_fp = lazy (Library.fingerprint lib) in
-  let store_key (cell_name, edge_ix) =
-    Printf.sprintf "frac-v1|%s|%s|e%d|n%d|s%d|approx=%b" (Lazy.force lib_fp)
-      cell_name edge_ix frac_samples seed approx
-  in
-  let compute_arc_response cache_key (cell : Cell.t) edge =
-      let resp =
-        Metrics.span "sta.ssta.cell_frac" @@ fun () ->
-        let sk = Cell.plan tech cell ~output_edge:(edge_of edge) in
-        let slew = Characterize.reference_slew in
-        let load = Cell.fo4_load tech cell in
-        let dim = ng + Arc.skeleton_local_dim sk in
-        let rng = Rng.derive frac_rng ~index:(Hashtbl.hash cache_key) in
-        let nf = float_of_int frac_samples in
-        (* Per-sample results land in index-addressed arrays (each
-           worker writes disjoint slots), and the moment accumulators
-           fold over them in index order on this domain afterwards — so
-           any executor backend, and the batched kernel, reproduce the
-           sequential population bit for bit. *)
-        let d_fulls = Array.make frac_samples 0.0 in
-        let s_fulls = Array.make frac_samples 0.0 in
-        let d_globs = Array.make frac_samples 0.0 in
-        let s_globs = Array.make frac_samples 0.0 in
-        let zs = Array.make_matrix frac_samples ng 0.0 in
-        let draw i =
-          let g = Rng.derive rng ~index:i in
-          let z = Array.init dim (fun _ -> Rng.gaussian g) in
-          Array.blit z 0 zs.(i) 0 ng;
-          z
-        in
-        if use_batch then
-          (* Two SoA batches per chunk — one for the full draws, one for
-             the globals-only twins — so both populations evaluate as
-             fused loops. *)
-          let chunk = Monte_carlo.batch_chunk in
-          Executor.map_ranges exec ~chunk
-            ~init:(fun () ->
-              ( Cell.plan tech cell ~output_edge:(edge_of edge),
-                Cell_sim.Batch.create chunk,
-                Cell_sim.Batch.create chunk ))
-            (fun (sk, bf, bg) ~lo ~hi ->
-              for i = lo to hi - 1 do
-                let z = draw i in
-                let t = i - lo in
-                Arc.fill tech sk (Variation.of_deviates tech z);
-                Cell_sim.Batch.load bf t (Arc.skeleton_compiled sk)
-                  ~input_slew:slew ~load_cap:load;
-                Arc.fill tech sk
-                  { (Variation.of_deviates tech z) with
-                    Variation.local_scale = 0.0 };
-                Cell_sim.Batch.load bg t (Arc.skeleton_compiled sk)
-                  ~input_slew:slew ~load_cap:load
-              done;
-              let m = hi - lo in
-              Cell_sim.Batch.eval ~approx tech bf ~n:m;
-              Cell_sim.Batch.eval ~approx tech bg ~n:m;
-              for i = lo to hi - 1 do
-                let t = i - lo in
-                if Cell_sim.Batch.failed bf t || Cell_sim.Batch.failed bg t
-                then
-                  failwith
-                    "Ssta.lvf_provider: fast kernel failed at the reference \
-                     point";
-                d_fulls.(i) <- Cell_sim.Batch.delay bf t;
-                s_fulls.(i) <- Cell_sim.Batch.output_slew bf t;
-                d_globs.(i) <- Cell_sim.Batch.delay bg t;
-                s_globs.(i) <- Cell_sim.Batch.output_slew bg t
-              done)
-            ~n:frac_samples
-        else
-          ignore
-            (Executor.map_scratch exec
-               ~init:(fun () -> Cell.plan tech cell ~output_edge:(edge_of edge))
-               (fun sk i ->
-                 let z = draw i in
-                 let run v =
-                   Arc.fill tech sk v;
-                   Cell_sim.run ~kernel:Cell_sim.Fast tech (Arc.skeleton_arc sk)
-                     ~input_slew:slew ~load_cap:load
-                 in
-                 let r_full = run (Variation.of_deviates tech z) in
-                 let r_glob =
-                   run
-                     { (Variation.of_deviates tech z) with
-                       Variation.local_scale = 0.0 }
-                 in
-                 d_fulls.(i) <- r_full.Cell_sim.delay;
-                 s_fulls.(i) <- r_full.Cell_sim.output_slew;
-                 d_globs.(i) <- r_glob.Cell_sim.delay;
-                 s_globs.(i) <- r_glob.Cell_sim.output_slew)
-               ~n:frac_samples);
-        let full = ref Moments.empty and glob = ref Moments.empty in
-        let sl_full = ref Moments.empty and sl_glob = ref Moments.empty in
-        for i = 0 to frac_samples - 1 do
-          full := Moments.add !full d_fulls.(i);
-          glob := Moments.add !glob d_globs.(i);
-          sl_full := Moments.add !sl_full s_fulls.(i);
-          sl_glob := Moments.add !sl_glob s_globs.(i)
-        done;
-        (* iid standard regressors make the second-order least squares a
-           moment average: a_j = E[y·z_j], b_j = E[y·(z_j²−1)]/2. *)
-        let regress ys =
-          let mean = Array.fold_left ( +. ) 0.0 ys /. nf in
-          let a = Array.make ng 0.0 and b = Array.make ng 0.0 in
-          for i = 0 to frac_samples - 1 do
-            let yc = ys.(i) -. mean in
-            for j = 0 to ng - 1 do
-              let z = zs.(i).(j) in
-              a.(j) <- a.(j) +. (yc *. z /. nf);
-              b.(j) <- b.(j) +. (yc *. ((z *. z) -. 1.0) /. (2.0 *. nf))
-            done
-          done;
-          (a, b)
-        in
-        let da, db = regress d_globs in
-        let sa, sb = regress s_globs in
-        Metrics.incr m_frac_mc ~by:(2 * frac_samples);
-        let vf = Moments.variance !full and vg = Moments.variance !glob in
-        let svf = Moments.variance !sl_full and svg = Moments.variance !sl_glob in
-        {
-          ar_a = da;
-          ar_b = db;
-          ar_frac = (if vf <= 0.0 then 0.0 else Float.min 1.0 (vg /. vf));
-          ar_sa = sa;
-          ar_sb = sb;
-          ar_sl = sqrt (Float.max 0.0 (svf -. svg));
-          ar_slew_mean = Moments.mean !sl_glob;
-        }
-      in
-      Option.iter
-        (fun dir ->
-          Store.save ~dir ~key:(store_key cache_key)
-            (arc_response_to_string resp))
-        store_dir;
-      resp
-  in
-  (* The cache is keyed by the cell itself, so a hit (every arc of the
-     walk but the first per pair) builds no name.  The (name, edge)
-     pair still keys the store and seeds the regression stream. *)
-  let arc_response (cell : Cell.t) edge =
-    match Hashtbl.find frac_cache (cell, edge) with
-    | r -> r
-    | exception Not_found ->
-      let cache_key = (Cell.name cell, Engine_core.edge_index edge) in
-      let resp =
-        match
-          Option.bind store_dir (fun dir ->
-              Store.find ~dir ~key:(store_key cache_key)
-                ~decode:arc_response_of_string)
-        with
-        | Some resp -> resp
-        | None -> compute_arc_response cache_key cell edge
-      in
-      Hashtbl.add frac_cache (cell, edge) resp;
-      resp
-  in
+  let arc_response (cell : Cell.t) edge = regression cell ~edge:(edge_of edge) in
   (* An arc's distribution at its operating point: total moments from
      the LVF table, global share and response shape from the cached
      reference-point regression (rescaled so the global variance is
      frac of the table's). *)
-  let dist_of_table (resp : arc_response) (s : Moments.summary) =
+  let dist_of_table (resp : Regression.t) (s : Moments.summary) =
     let m2, m3, m4 = Moments.central_of_summary s in
     let vg_target = resp.ar_frac *. m2 in
     let vg_ref =
@@ -906,8 +691,9 @@ let lvf_handle ?(seed = 421) ?(frac_samples = 128)
     Array.of_list !buf
   in
   (* Force every (cell, edge) regression the design can demand — the
-     provider's whole cold cost, so timing this isolates the store's
-     cold/warm behaviour. *)
+     provider's whole cold cost, paid once per library (a warm memo makes
+     this a walk of lookups), so timing it on a fresh library isolates
+     the store's cold/warm behaviour. *)
   let prewarm () =
     Array.iter
       (fun (g : Netlist.gate) ->

@@ -111,8 +111,11 @@ type handle = {
           no such state returns a constant (e.g. [[||]]). *)
   h_prewarm : unit -> unit;
       (** Force every per-(cell, edge) regression the design can
-          demand — the provider's whole cold cost, isolated so callers
-          can time cold vs store-warm startup. *)
+          demand — a handle's whole cold cost, isolated so callers can
+          time cold vs store-warm startup.  The regressions live in the
+          library's memo ({!Nsigma_liberty.Library.regressions}), so
+          that cost is paid once per library value and settings: on a
+          warm library this is a walk of lookups. *)
 }
 (** A provider plus the invalidation hooks the incremental engine
     ({!Incremental}) needs.  {!lvf_handle} builds the real one;
@@ -134,13 +137,17 @@ val lvf_handle :
   Nsigma_liberty.Library.t ->
   Design.t ->
   handle
-(** {!lvf_provider} plus incremental hooks.  [store_dir] selects the
-    content-addressed on-disk store for the per-(cell, edge) moment
-    regressions ({!Nsigma_liberty.Store}): keys are derived from the
-    library's v4 fingerprint plus the provider knobs that shape the
-    result ([frac_samples], [seed], [approx]), and payloads round-trip
-    exactly (hex float literals), so a store-warm provider is bitwise
-    identical to a cold one.  Default {!Nsigma_liberty.Store.default_dir}
+(** {!lvf_provider} plus incremental hooks.  Each per-(cell, edge)
+    moment regression is served in the order memo → store → compute:
+    the library's in-memory memo first
+    ({!Nsigma_liberty.Library.regressions}; the handle fetches its table
+    once, at creation), then the content-addressed on-disk store
+    ({!Nsigma_liberty.Store}) selected by [store_dir], and only then the
+    mini-MC.  Store keys are derived from the library's v4 fingerprint
+    plus the provider knobs that shape the result ([frac_samples],
+    [seed], [approx]), and payloads round-trip exactly (hex float
+    literals), so memo-, store- and compute-served providers are
+    bitwise identical.  Default {!Nsigma_liberty.Store.default_dir}
     (the [NSIGMA_PROVIDER_CACHE] environment directory); pass
     [~store_dir:None] to disable, [~store_dir:(Some dir)] to pin a
     directory.  Hits/misses/stale artifacts tick the
@@ -192,12 +199,15 @@ val lvf_provider :
     draws and their globals-only twins), still bit-identical; [approx] (implies [batch]) swaps in the polynomial
     transcendentals — the opt-in [--no-bit-identical] mode.
 
-    The regression is memoized per (cell name, edge): it runs at the
-    fixed reference operating point (reference slew, FO4 load), so every
-    net driven by the same arc shares one mini-MC, and only the
-    per-operating-point table rescale differs between nets.  All caches
-    fill lazily on first use on the calling domain and are owned by the
-    returned provider (not thread-safe). *)
+    The regression ({!Nsigma_liberty.Regression}) runs at the fixed
+    reference operating point (reference slew, FO4 load) and reads no
+    design, so it is memoized in the library value per (cell, edge) and
+    settings ([tech], [seed], [frac_samples], [approx]): every net,
+    design and handle on that library shares one mini-MC per arc, and
+    only the per-operating-point table rescale differs between nets.
+    The wire and slew caches are owned by the returned provider.  All
+    caches fill lazily on first use on the calling domain (not
+    thread-safe). *)
 
 (** {2 Analysis} *)
 

@@ -225,7 +225,14 @@ let test_path_batch_identity () =
 
 let test_ssta_batch_identity () =
   let design, lib, _ = small_design () in
+  (* Each configuration gets its own load of one private .lvf: a library
+     value memoizes the provider's regressions, so a shared one would
+     serve the batched configuration the scalar one's. *)
+  let path = Filename.temp_file "nsigma_test_batch" ".lvf" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Nsigma_liberty.Library.save lib path;
   let dist ~batch =
+    let lib = Nsigma_liberty.Library.load tech path in
     let provider = Ssta.lvf_provider ~seed:3 ~batch tech lib design in
     Ssta.circuit_dist (Ssta.analyze tech provider design)
   in

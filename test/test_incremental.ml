@@ -342,8 +342,20 @@ let test_incremental_real_provider () =
       then Alcotest.failf "edit %d: real-provider incremental diverged" i)
     edits
 
+(* The same tables in a private .lvf.  The store round trip gives the
+   cold and the warm handle each a fresh load: a library value memoizes
+   the provider's regressions, so a shared one would serve the warm
+   handle from memory and never reach the store. *)
+let private_lvf =
+  lazy
+    (let path = Filename.temp_file "nsigma_test_incremental" ".lvf" in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     Library.save (Lazy.force library) path;
+     path)
+
+let fresh_library () = Library.load tech (Lazy.force private_lvf)
+
 let test_store_roundtrip () =
-  let lib = Lazy.force library in
   let design =
     Design.attach_parasitics tech
       (G.random_logic ~name:"st" ~n_inputs:4 ~n_gates:25 ~depth:4 ~seed:5)
@@ -355,7 +367,8 @@ let test_store_roundtrip () =
   let misses0 = Metrics.find_counter "provider.store.miss" in
   (* Cold: every regression misses the store, computes and saves. *)
   let h_cold =
-    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech lib design
+    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech
+      (fresh_library ()) design
   in
   h_cold.Ssta.h_prewarm ();
   let misses = Metrics.find_counter "provider.store.miss" - misses0 in
@@ -364,7 +377,8 @@ let test_store_roundtrip () =
     (Array.length (Sys.readdir dir) > 0);
   (* Warm: a fresh provider loads every regression from disk. *)
   let h_warm =
-    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech lib design
+    Ssta.lvf_handle ~frac_samples:16 ~store_dir:(Some dir) tech
+      (fresh_library ()) design
   in
   h_warm.Ssta.h_prewarm ();
   let hits = Metrics.find_counter "provider.store.hit" - hits0 in

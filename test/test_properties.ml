@@ -300,6 +300,16 @@ let ssta_library =
             "nsigma_test_ssta.lvf")
        tech cells)
 
+(* The same tables in a private .lvf, loaded once per compared executor:
+   a library value memoizes the provider's regressions, so a shared one
+   would serve the second executor the first one's. *)
+let ssta_lvf =
+  lazy
+    (let path = Filename.temp_file "nsigma_test_properties" ".lvf" in
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     Library.save (Lazy.force ssta_library) path;
+     path)
+
 let pool2 = lazy (Executor.domain_pool ~jobs:2 ())
 
 (* One edit of each kind, derived from the pristine netlist (generated
@@ -350,11 +360,11 @@ let prop_incremental_matches_scratch =
     ~name:"incremental re-timing = from-scratch (both operators x executors)"
     seed_arb
     (fun seed ->
-      let lib = Lazy.force ssta_library in
       let execs = [ Executor.sequential; Lazy.force pool2 ] in
       let ops = [ Nsigma_stats.Stat_max.Clark; Nsigma_stats.Stat_max.Moment ] in
       List.for_all
         (fun exec ->
+          let lib = Library.load tech (Lazy.force ssta_lvf) in
           List.for_all
             (fun op ->
               let config = { Ssta.op; corr = Ssta.Tracked } in

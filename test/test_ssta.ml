@@ -23,6 +23,7 @@ module Rng = Nsigma_stats.Rng
 module Rctree = Nsigma_rcnet.Rctree
 module Elmore = Nsigma_rcnet.Elmore
 module Wire_gen = Nsigma_rcnet.Wire_gen
+module Metrics = Nsigma_obs.Metrics
 
 let check_close ?(eps = 1e-9) msg expected actual =
   if Float.abs (expected -. actual) > eps *. (1.0 +. Float.abs expected) then
@@ -266,15 +267,20 @@ let test_lvf_provider_sanity () =
    significant digits, so a freshly characterized library and its
    loaded copy give different SSTA bits; a round trip through a private
    file makes the golden independent of whether the shared cache
-   existed. *)
-let loaded_library =
+   existed.  The file stays until exit so that a test comparing
+   configurations can give each its own [fresh_library]: a library
+   value memoizes the provider's regressions, and a shared one would
+   serve the second configuration the first one's instead of computing
+   them. *)
+let private_lvf =
   lazy
     (let path = Filename.temp_file "nsigma_test_ssta_golden" ".lvf" in
-     Fun.protect
-       ~finally:(fun () -> Sys.remove path)
-       (fun () ->
-         Library.save (Lazy.force library) path;
-         Library.load tech path))
+     at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+     Library.save (Lazy.force library) path;
+     path)
+
+let fresh_library () = Library.load tech (Lazy.force private_lvf)
+let loaded_library = lazy (fresh_library ())
 
 let dist_hex (d : Ssta.dist) =
   let floats a = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
@@ -295,10 +301,10 @@ let golden_wire_net = 497
 let golden_wire = "3ab9ef782284025af03e6b269195a4e3"
 
 let test_golden_bits () =
-  let lib = Lazy.force loaded_library in
   let design = Design.attach_parasitics tech ((Bm.find "c432").Bm.generate ()) in
   List.iter
     (fun (ename, exec) ->
+      let lib = fresh_library () in
       let provider = Ssta.lvf_provider ~exec ~store_dir:None tech lib design in
       let report = Ssta.analyze tech provider design in
       let pos =
@@ -491,6 +497,98 @@ let test_warm_walk_allocation () =
     Alcotest.failf "warm walk allocates %.0f words/gate (bound %.0f)" per_gate
       warm_walk_words_per_gate
 
+(* ---- the library's regression memo ---- *)
+
+let with_metrics f =
+  let was = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was) f
+
+let frac_count () = Metrics.find_counter "sta.ssta.cell_frac_samples"
+
+let memo_design () =
+  Design.attach_parasitics tech ((List.hd Bm.small_variants).Bm.generate ())
+
+(* Mini-MC samples one cold prewarm of [design] runs: a paired draw per
+   sample, for both edges of every distinct cell. *)
+let cold_samples (design : Design.t) ~frac_samples =
+  let cells =
+    Array.to_list design.Design.netlist.N.gates
+    |> List.map (fun (g : N.gate) -> g.N.cell)
+    |> List.sort_uniq compare
+  in
+  2 * frac_samples * 2 * List.length cells
+
+let prewarmed ?seed ~frac_samples ?(store_dir = None) lib design =
+  let h = Ssta.lvf_handle ?seed ~frac_samples ~store_dir tech lib design in
+  h.Ssta.h_prewarm ();
+  h
+
+let test_memo_second_handle () =
+  with_metrics @@ fun () ->
+  let design = memo_design () in
+  let lib = fresh_library () in
+  let c0 = frac_count () in
+  ignore (prewarmed ~frac_samples:16 lib design);
+  Alcotest.(check int) "first handle computes every regression"
+    (cold_samples design ~frac_samples:16) (frac_count () - c0);
+  let c1 = frac_count () in
+  let h = prewarmed ~frac_samples:16 lib design in
+  let warm = Ssta.analyze tech h.Ssta.h_provider design in
+  Alcotest.(check int) "second handle computes none" 0 (frac_count () - c1);
+  let fresh = prewarmed ~frac_samples:16 (fresh_library ()) design in
+  Alcotest.(check int) "a fresh load starts with an empty memo"
+    (cold_samples design ~frac_samples:16) (frac_count () - c1);
+  let cold = Ssta.analyze tech fresh.Ssta.h_provider design in
+  Alcotest.(check bool) "memo-served report = freshly computed one" true
+    (Nsigma_sta.Incremental.reports_bit_identical warm cold)
+
+let test_memo_settings_recompute () =
+  with_metrics @@ fun () ->
+  let design = memo_design () in
+  let lib = fresh_library () in
+  ignore (prewarmed ~frac_samples:16 lib design);
+  List.iter
+    (fun (what, seed, frac_samples) ->
+      let c0 = frac_count () in
+      ignore (prewarmed ~seed ~frac_samples lib design);
+      Alcotest.(check int) what
+        (cold_samples design ~frac_samples)
+        (frac_count () - c0))
+    [ ("other frac_samples recomputes", 421, 24); ("other seed recomputes", 7, 16) ];
+  let c0 = frac_count () in
+  ignore (prewarmed ~frac_samples:16 lib design);
+  Alcotest.(check int) "original settings still memoized" 0 (frac_count () - c0)
+
+let test_memo_skips_store () =
+  with_metrics @@ fun () ->
+  let design = memo_design () in
+  let lib = fresh_library () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "nsigma_test_memo_store_%d" (Unix.getpid ()))
+  in
+  let clean () =
+    if Sys.file_exists dir then begin
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir
+    end
+  in
+  clean ();
+  Fun.protect ~finally:clean @@ fun () ->
+  let store_dir = Some dir in
+  let miss0 = Metrics.find_counter "provider.store.miss" in
+  ignore (prewarmed ~frac_samples:16 ~store_dir lib design);
+  Alcotest.(check bool) "cold memo goes to the store" true
+    (Metrics.find_counter "provider.store.miss" > miss0);
+  let hits = Metrics.find_counter "provider.store.hit"
+  and misses = Metrics.find_counter "provider.store.miss" in
+  let h = prewarmed ~frac_samples:16 ~store_dir lib design in
+  ignore (Ssta.analyze tech h.Ssta.h_provider design);
+  Alcotest.(check (pair int int)) "warm memo does no store lookup" (hits, misses)
+    ( Metrics.find_counter "provider.store.hit",
+      Metrics.find_counter "provider.store.miss" )
+
 let () =
   Alcotest.run "nsigma_ssta"
     [
@@ -521,4 +619,13 @@ let () =
       ( "allocation",
         [ Alcotest.test_case "c432 warm walk words/gate" `Slow
             test_warm_walk_allocation ] );
+      ( "memo",
+        [
+          Alcotest.test_case "second handle reuses the library memo" `Slow
+            test_memo_second_handle;
+          Alcotest.test_case "other seed or frac_samples recomputes" `Slow
+            test_memo_settings_recompute;
+          Alcotest.test_case "warm memo skips the store" `Slow
+            test_memo_skips_store;
+        ] );
     ]
